@@ -25,8 +25,8 @@ case_i = pdl.beta_polynomial(30, 150, 2, 2)
 case_ii = pdl.beta_polynomial(150, 250, 2, 2)
 
 describe("uniform", uniform)
-describe("beta(2,2) case (i)", case_i)
-describe("beta(2,2) case (ii)", case_ii)
+describe("exponents p = q = 2 (Beta(3,3)) case (i)", case_i)
+describe("exponents p = q = 2 (Beta(3,3)) case (ii)", case_ii)
 
 print()
 print("density profile of case (i), sampled across the support:")

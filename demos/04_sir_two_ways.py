@@ -41,16 +41,16 @@ def run_case(name, a, b, h_max):
           % (eq.steps_taken, pdl.sir_conserved(eq)))
     print("  4-node quadrature: %d steps, conservation %.2e"
           % (qd.steps_taken, pdl.sir_conserved(qd)))
-    gap = max(np.max(np.abs(pdl.dense_eval(eq, t)[:3]
-                            - pdl.dense_eval(qd, t)[:3]))
-              for t in np.linspace(0.0, horizon, 200))
+    grid = np.linspace(0.0, horizon, 200)
+    gap = np.max(np.abs(pdl.dense_eval(eq, grid)[:, :3]
+                        - pdl.dense_eval(qd, grid)[:, :3]))
     print("  max |equivalent - quadrature| over the horizon: %.2e" % gap)
     s_end = pdl.dense_eval(eq, horizon)[0]
     print("  S(1000 days) = %.5f" % s_end)
 
-    points = pdl.sample(eq, 1000)
-    t = np.array([tt for tt, _ in points]) * b
-    y = np.array([yy[:3] for _, yy in points])
+    ts, states = pdl.sample(eq, 1000)
+    t = ts * b
+    y = states[:, :3]
     peaks = [k for k in range(1, 999)
              if y[k, 0] > y[k - 1, 0] and y[k, 0] > y[k + 1, 0]]
     if peaks:

@@ -177,7 +177,7 @@ def solve(dde, t_end, opts=None):
         # method-of-steps soundness: the step cap guarantees delayed
         # queries stay inside the accepted mesh
         if tq > ts[-1] * (1.0 + 1e-12) + 1e-300:
-            raise AssertionError(
+            raise RuntimeError(
                 "delayed lookup at t = %g beyond accepted mesh %g"
                 % (tq, ts[-1]))
         if tq >= ts[-1]:
@@ -293,24 +293,35 @@ def solve(dde, t_end, opts=None):
 
 
 def dense_eval(traj, t):
-    """State at time t from the trajectory's continuous extension."""
+    """State at time t from the trajectory's continuous extension.
+
+    t is a scalar or an array; the result is a new array of shape
+    t.shape + (d,). Times outside the covered interval raise ValueError.
+    """
     mesh = traj.mesh
-    if t < mesh[0] or t > mesh[-1]:
+    # Work on t.T: y[:, lo] then has shape (d,) + t.T.shape, the Hermite
+    # weights (shaped like t.T) broadcast against it, and the final .T
+    # puts d last. [()] makes a 0-d t a numpy scalar, which is faster.
+    t = np.asarray(t, dtype=float).T[()]
+    inside = (t >= mesh[0]) & (t <= mesh[-1])
+    if not inside.all():
         raise ValueError(
             "t = %g outside the covered interval [%g, %g]"
-            % (t, mesh[0], mesh[-1]))
-    k = int(np.searchsorted(mesh, t, side="right")) - 1
-    if k >= mesh.size - 1:
-        return traj.states[-1].copy()
-    if mesh[k] == t:
-        return traj.states[k].copy()
-    return _hermite(mesh[k], traj.states[k], traj.derivs[k],
-                    mesh[k + 1], traj.states[k + 1], traj.derivs[k + 1], t)
+            % (np.extract(~inside, t)[0], mesh[0], mesh[-1]))
+    k = np.searchsorted(mesh, t, side="right") - 1
+    # the last mesh point has no successor; clamp so k + 1 stays valid
+    lo = np.minimum(k, mesh.size - 2)
+    y, f = traj.states.T, traj.derivs.T
+    out = _hermite(mesh[lo], y[:, lo], f[:, lo],
+                   mesh[lo + 1], y[:, lo + 1], f[:, lo + 1], t)
+    # mesh points, t_end included, return the stored states exactly
+    return np.where(mesh[k] == t, y[:, k], out).T
 
 
 def sample(traj, k):
-    """k equidistant (t, state) pairs over the covered interval."""
+    """(ts, states) at k equidistant times over the covered interval;
+    states has shape (k, d)."""
     if k < 2:
         raise ValueError("need at least two sample points")
     ts = np.linspace(traj.mesh[0], traj.mesh[-1], k)
-    return [(float(t), dense_eval(traj, t)) for t in ts]
+    return ts, dense_eval(traj, ts)

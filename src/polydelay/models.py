@@ -85,10 +85,8 @@ def sir_equivalent(params, rule=None):
 
 def sir_conserved(traj, k=1000):
     """Largest violation of S + I + R = 1 on a k-point sample grid."""
-    worst = 0.0
-    for _, y in sample(traj, k):
-        worst = max(worst, abs(float(y[0] + y[1] + y[2]) - 1.0))
-    return worst
+    _, y = sample(traj, k)
+    return float(np.max(np.abs(y[:, 0] + y[:, 1] + y[:, 2] - 1.0)))
 
 
 def sir_equilibrium(params, endemic_infected=None):

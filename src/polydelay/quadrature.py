@@ -4,10 +4,9 @@ Rules are generated by the Golub-Welsch procedure: the three-term
 recurrence coefficients of the orthogonal polynomials for the weight form
 a symmetric tridiagonal Jacobi matrix whose eigenvalues are the nodes,
 and the squared first components of the normalised eigenvectors give the
-weights. The eigenproblem is solved by an implicit-shift QL iteration
-with Wilkinson shifts that accumulates only the first row of the
-eigenvector matrix. Weights are normalised to sum to one, matching the
-probability densities they integrate against.
+weights. The eigenproblem is solved by numpy's symmetric eigensolver on
+the m x m Jacobi matrix. Weights are normalised to sum to one, matching
+the probability densities they integrate against.
 """
 
 import math
@@ -18,8 +17,6 @@ import numpy as np
 from .ddesolver import DiscreteDelayDde
 
 _EPS = float(np.finfo(float).eps)
-
-_QL_BUDGET_FACTOR = 50
 
 
 @dataclass(frozen=True)
@@ -64,73 +61,6 @@ def jacobi_recurrence(m, alpha, beta):
     return RecurrenceCoefficients(diag=diag, offdiag=np.sqrt(bsq), mu0=mu0)
 
 
-def _tqli(diag, offdiag):
-    """Implicit-shift QL with Wilkinson shifts for a symmetric tridiagonal
-    matrix, tracking only the first row of the eigenvector matrix.
-
-    Returns (eigenvalues ascending, matching first-row components).
-    Raises RuntimeError when the rotation budget of 50 sweeps per
-    eigenvalue is exhausted.
-    """
-    d = np.array(diag, dtype=float)
-    n = d.size
-    e = np.zeros(n)
-    e[: n - 1] = offdiag
-    z = np.zeros(n)
-    z[0] = 1.0
-    total = 0
-    for l in range(n):
-        while True:
-            mm = l
-            while mm < n - 1:
-                dd = abs(d[mm]) + abs(d[mm + 1])
-                if abs(e[mm]) <= _EPS * dd:
-                    break
-                mm += 1
-            if mm == l:
-                break
-            total += 1
-            if total > _QL_BUDGET_FACTOR * n:
-                raise RuntimeError(
-                    "tridiagonal QL iteration failed to converge")
-            g = (d[l + 1] - d[l]) / (2.0 * e[l])
-            r = math.hypot(g, 1.0)
-            g = d[mm] - d[l] + e[l] / (g + math.copysign(r, g))
-            s = 1.0
-            c = 1.0
-            p = 0.0
-            annihilated = False
-            for i in range(mm - 1, l - 1, -1):
-                f = s * e[i]
-                h = c * e[i]
-                r = math.hypot(f, g)
-                e[i + 1] = r
-                if r == 0.0:
-                    # a rotation vanished early; absorb the shift and
-                    # restart the sweep
-                    d[i + 1] -= p
-                    e[mm] = 0.0
-                    annihilated = True
-                    break
-                s = f / r
-                c = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * h
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - h
-                f = z[i + 1]
-                z[i + 1] = s * z[i] + c * f
-                z[i] = c * z[i] - s * f
-            if annihilated:
-                continue
-            d[l] -= p
-            e[l] = g
-            e[mm] = 0.0
-    order = np.argsort(d, kind="stable")
-    return d[order], z[order]
-
-
 @dataclass(frozen=True)
 class QuadratureRule:
     """Nodes and probability-normalised weights of a Gaussian rule.
@@ -163,15 +93,25 @@ class QuadratureRule:
             raise ValueError("weights must sum to one")
 
 
+def check_rule_interval(rule, a, b):
+    """Raise ValueError unless the rule targets [a, b] to 1e-12 relative."""
+    ra, rb = rule.interval
+    if (abs(ra - a) > 1e-12 * max(1.0, abs(a))
+            or abs(rb - b) > 1e-12 * max(1.0, abs(b))):
+        raise ValueError(
+            "rule interval [%g, %g] does not match the weight support "
+            "[%g, %g]" % (ra, rb, a, b))
+
+
 def _rule_from_recurrence(rec, a, b):
-    lam, z0 = _tqli(rec.diag, rec.offdiag)
-    if lam.size > 1:
-        gaps = np.diff(lam)
-        if np.any(gaps <= 8.0 * _EPS):
-            raise RuntimeError(
-                "quadrature eigenvalues collided; recurrence data must be "
-                "inconsistent")
-    w = rec.mu0 * z0 * z0
+    jacobi = (np.diag(rec.diag) + np.diag(rec.offdiag, 1)
+              + np.diag(rec.offdiag, -1))
+    lam, vecs = np.linalg.eigh(jacobi)
+    if np.any(np.diff(lam) <= 8.0 * _EPS):
+        raise RuntimeError(
+            "quadrature eigenvalues collided; recurrence data must be "
+            "inconsistent")
+    w = rec.mu0 * vecs[0] ** 2
     total = float(w.sum())
     if not total > 0.0:
         raise RuntimeError("eigenvector mass vanished in the weight formula")
@@ -226,13 +166,7 @@ def build_quadrature_dde(dde, rule):
     and the dimension unchanged. The rule must target the weight's
     support interval.
     """
-    a, b = dde.weight.a, dde.weight.b
-    ra, rb = rule.interval
-    if (abs(ra - a) > 1e-12 * max(1.0, abs(a))
-            or abs(rb - b) > 1e-12 * max(1.0, abs(b))):
-        raise ValueError(
-            "rule interval [%g, %g] does not match the weight support "
-            "[%g, %g]" % (ra, rb, a, b))
+    check_rule_interval(rule, dde.weight.a, dde.weight.b)
     comps = sorted(dde.delayed_components)
     weights = rule.weights
     base_rhs = dde.rhs

@@ -19,9 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ddesolver import DiscreteDelayDde
+from .quadrature import check_rule_interval, gauss_legendre
 from .weightfn import PolynomialWeight, rescale_to_unit
-
-_REL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -79,15 +78,6 @@ class StationaryPoint:
     x_star: np.ndarray
 
 
-def _check_rule_interval(rule, a, b):
-    ra, rb = rule.interval
-    if (abs(ra - a) > _REL_TOL * max(1.0, abs(a))
-            or abs(rb - b) > _REL_TOL * max(1.0, abs(b))):
-        raise ValueError(
-            "rule interval [%g, %g] does not match the weight support "
-            "[%g, %g]" % (ra, rb, a, b))
-
-
 def aux_initial_values(history, weight, rule):
     """Initial auxiliary values x_i(0) = integral_a^b history(-tau) tau^i dtau.
 
@@ -98,7 +88,7 @@ def aux_initial_values(history, weight, rule):
     closed form y0 (b^{i+1} - a^{i+1}) / (i+1) is used instead.
     """
     a, b = weight.a, weight.b
-    _check_rule_interval(rule, a, b)
+    check_rule_interval(rule, a, b)
     n = weight.degree
     h0 = float(history(0.0))
     hv = np.array([float(history(-tau)) for tau in rule.nodes])
@@ -132,7 +122,6 @@ def build_equivalent(dde, rule=None):
     a, b = w.a, w.b
     n = w.degree
     if rule is None:
-        from .quadrature import gauss_legendre
         rule = gauss_legendre(32, a, b)
     d = dde.dimension
     comps = sorted(dde.delayed_components)

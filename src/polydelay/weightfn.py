@@ -122,8 +122,10 @@ def beta_polynomial(a, b, p, q):
     a, b : float
         Interval bounds with 0 <= a < b.
     p, q : int
-        Nonnegative integer exponents; the degree is n = p + q, capped at
-        MAX_DEGREE.
+        Nonnegative integer exponents of (tau-a)^p (b-tau)^q, not Beta
+        shape parameters: the density is Beta(p+1, q+1) mapped to [a, b],
+        so p = q = 2 gives 30 (tau-a)^2 (b-tau)^2 / (b-a)^5, i.e.
+        Beta(3,3). The degree is n = p + q, capped at MAX_DEGREE.
 
     Returns
     -------
@@ -158,10 +160,7 @@ def evaluate(w, tau):
     if tau < w.a or tau > w.b:
         raise ValueError(
             "tau = %g outside the support [%g, %g]" % (tau, w.a, w.b))
-    acc = 0.0
-    for c in reversed(w.coeffs):
-        acc = acc * tau + c
-    return acc
+    return float(_poly_eval(w.coeffs, tau))
 
 
 def moment(w, i):

@@ -178,9 +178,9 @@ def test_criterion_07_case_ii_oscillation(request):
     # sampled about once a day, so the last half spans about three periods.
     with _Timer() as tm:
         run = request.getfixturevalue("case_ii_equivalent_long")
-        points = pdl.sample(run.traj, 2000)
-        s = np.array([y[0] for _, y in points])
-        times = np.array([t for t, _ in points]) * run.tfac
+        ts, states = pdl.sample(run.traj, 2000)
+        s = states[:, 0]
+        times = ts * run.tfac
         half = len(s) // 2
         peaks = [k for k in range(1, len(s) - 1)
                  if s[k] > s[k - 1] and s[k] > s[k + 1]]

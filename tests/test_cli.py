@@ -201,15 +201,16 @@ def test_convergence_csv(capsys):
     assert "reference solve" in err
 
 
-def test_convergence_threaded_is_deterministic(capsys, monkeypatch):
+def test_convergence_is_deterministic(tmp_path, capsys):
     args = ["convergence", "--preset", "case-i", "--t-end", "30",
             "--samples", "30", "--m", "1,2,3"]
-    code, serial, _ = _run(args, capsys)
-    assert code == 0
-    monkeypatch.setenv("POLYDELAY_THREADS", "3")
-    code, threaded, _ = _run(args, capsys)
-    assert code == 0
-    assert threaded == serial
+    outputs = []
+    for name in ("first.csv", "second.csv"):
+        target = tmp_path / name
+        assert cli.main(args + ["--out", str(target)]) == 0
+        outputs.append(target.read_bytes())
+    capsys.readouterr()
+    assert outputs[0] == outputs[1]
 
 
 def test_convergence_rejects_bad_m_lists(capsys):
@@ -232,6 +233,13 @@ def test_exit_code_config_errors(tmp_path, capsys):
     assert code == cli.EXIT_CONFIG
     code, _, _ = _run(["solve", "--preset", "case-i", "--m", "x"], capsys)
     assert code == cli.EXIT_CONFIG
+    bad.write_text("p = -1\n")
+    code, _, err = _run(["solve", "--config", str(bad)], capsys)
+    assert code == cli.EXIT_CONFIG
+    assert "config error" in err
+    code, _, err = _run(["quad", "--preset", "case-i", "--m", "0"], capsys)
+    assert code == cli.EXIT_CONFIG
+    assert "config error" in err
 
 
 def test_exit_code_solver_failure(capsys, monkeypatch):
@@ -246,6 +254,16 @@ def test_exit_code_numerical_error(capsys, monkeypatch):
         raise RuntimeError("synthetic breakdown")
 
     monkeypatch.setattr(cli, "run_solve", boom)
+    code, _, err = _run(["solve", "--preset", "case-i"], capsys)
+    assert code == cli.EXIT_NUMERICAL
+    assert "internal numerical error" in err
+    monkeypatch.undo()
+
+    # a ValueError past configuration is internal, not a config error
+    def bad_solve(dde, t_end, opts):
+        raise ValueError("rhs must return length-8 derivatives")
+
+    monkeypatch.setattr(cli, "solve", bad_solve)
     code, _, err = _run(["solve", "--preset", "case-i"], capsys)
     assert code == cli.EXIT_NUMERICAL
     assert "internal numerical error" in err

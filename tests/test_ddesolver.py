@@ -78,6 +78,15 @@ def test_dense_eval_reproduces_mesh_states():
     for k in (0, len(traj.mesh) // 2, len(traj.mesh) - 1):
         t = traj.mesh[k]
         assert np.array_equal(pdl.dense_eval(traj, t), traj.states[k])
+    # one array call equals the per-point scalar calls bit for bit, at
+    # mesh points, both endpoints and between mesh points
+    mids = 0.5 * (traj.mesh[:-1] + traj.mesh[1:])
+    times = np.concatenate([traj.mesh, mids, np.linspace(0.0, 1.0, 37)])
+    batch = pdl.dense_eval(traj, times)
+    assert batch.shape == (times.size, 1)
+    singles = np.array([pdl.dense_eval(traj, t) for t in times])
+    assert np.array_equal(batch, singles)
+    assert np.array_equal(batch[:traj.mesh.size], traj.states)
 
 
 def test_dense_eval_rejects_out_of_range_times():
@@ -86,6 +95,10 @@ def test_dense_eval_rejects_out_of_range_times():
         pdl.dense_eval(traj, -0.01)
     with pytest.raises(ValueError):
         pdl.dense_eval(traj, 1.01)
+    with pytest.raises(ValueError, match="t = 1.01 outside"):
+        pdl.dense_eval(traj, np.array([0.0, 0.5, 1.01, 1.0]))
+    with pytest.raises(ValueError, match="t = -0.01 outside"):
+        pdl.dense_eval(traj, np.array([-0.01, 0.5]))
 
 
 def test_linear_solution_exact():
@@ -135,12 +148,11 @@ def test_dense_output_order_at_step_midpoints():
 
 def test_sample_endpoints_and_monotonicity():
     traj = pdl.solve(_benchmark(), 4.0)
-    two = pdl.sample(traj, 2)
-    assert two[0][0] == 0.0 and two[1][0] == 4.0
-    grid = pdl.sample(traj, 1000)
-    times = [t for t, _ in grid]
-    assert len(grid) == 1000
-    assert all(t1 > t0 for t0, t1 in zip(times, times[1:]))
+    two, _ = pdl.sample(traj, 2)
+    assert two[0] == 0.0 and two[1] == 4.0
+    times, states = pdl.sample(traj, 1000)
+    assert times.shape == (1000,) and states.shape == (1000, 1)
+    assert np.all(np.diff(times) > 0)
     with pytest.raises(ValueError):
         pdl.sample(traj, 1)
 

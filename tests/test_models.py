@@ -65,7 +65,8 @@ def test_auxiliary_chain_initial_values(case_i_params, case_ii_params):
 
 
 def test_conservation_starts_exact(case_i_equivalent):
-    _, y0 = pdl.sample(case_i_equivalent.traj, 2)[0]
+    _, states = pdl.sample(case_i_equivalent.traj, 2)
+    y0 = states[0]
     assert float(y0[0] + y0[1] + y0[2]) == 1.0
 
 

@@ -50,7 +50,8 @@ def test_jacobi_three_node_exactness():
 
 
 @pytest.mark.parametrize("m,p,q", [(1, 2, 2), (2, 0, 0), (3, 1, 2),
-                                   (4, 2, 2), (5, 0, 3), (8, 2, 2)])
+                                   (4, 2, 2), (5, 0, 3), (8, 2, 2),
+                                   (12, 0, 3), (20, 4, 1), (32, 8, 8)])
 def test_rules_match_independent_eigensolver(m, p, q):
     # scipy computes the same nodes from its own Jacobi-matrix route; the
     # density (tau-a)^p (b-tau)^q maps to the classical weight
