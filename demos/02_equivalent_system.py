@@ -45,8 +45,7 @@ span = wb - wa
 for tc in np.linspace(1.5, 20.0 / 3.0, 5):
     state = pdl.dense_eval(traj, tc)
     worst = 0.0
-    past = np.array([pdl.dense_eval(traj, tc - tau)[1]
-                     for tau in rule.nodes])
+    past = pdl.dense_eval(traj, tc - rule.nodes)[:, 1]
     for i in range(scaled.degree + 1):
         direct = span * float(np.dot(rule.weights,
                                      past * np.array(rule.nodes) ** i))

@@ -3,13 +3,17 @@
 The integrator is an embedded 3(2) pair with first-same-as-last stage
 reuse and a cubic Hermite continuous extension. Delayed states are looked
 up by the method of steps: the step size never exceeds the smallest
-delay, so every delayed query falls inside already-accepted territory (or
-in the history function for arguments at or below zero). Derivative
-discontinuities propagating from t = 0 are handled by forcing the mesh
-onto all sums of up to four delays.
+delay, so every delayed query of a step falls inside territory that is
+already accepted when the step starts (or in the history function for
+arguments at or below zero). The 3 * (number of delays) queries of an
+attempt are therefore answered at its start, with one searchsorted over
+the mesh and one vectorised Hermite evaluation. Mesh, states and
+derivatives live in preallocated arrays that double when full, and the
+stages are checked for finiteness once per step, through the error norm.
+Derivative discontinuities propagating from t = 0 are handled by forcing
+the mesh onto all sums of up to four delays.
 """
 
-import bisect
 import math
 from dataclasses import dataclass
 
@@ -23,9 +27,11 @@ _EPS = float(np.finfo(float).eps)
 # point, reused as stage 1 of the next step.
 _C2 = 0.5
 _C3 = 0.75
-_B1, _B2, _B3 = 2.0 / 9.0, 1.0 / 3.0, 4.0 / 9.0
-_E1, _E2, _E3, _E4 = -5.0 / 72.0, 1.0 / 12.0, 1.0 / 9.0, -1.0 / 8.0
+_B = np.array([2.0 / 9.0, 1.0 / 3.0, 4.0 / 9.0])
+_E = np.array([-5.0 / 72.0, 1.0 / 12.0, 1.0 / 9.0, -1.0 / 8.0])
 
+# rows of the mesh arrays before their first doubling
+_INITIAL_CAPACITY = 1024
 _BREAKPOINT_ORDER = 4
 _BREAKPOINT_MERGE = 1e-12
 
@@ -107,15 +113,37 @@ class Trajectory:
     steps_rejected: int
 
 
-def _hermite(t0, y0, f0, t1, y1, f1, t):
-    h = t1 - t0
+def _hermite(mesh, states, derivs, t):
+    """Cubic Hermite interpolant of the mesh data at the times t.
+
+    states and derivs have one row per mesh point (at least two); t is an
+    array or numpy scalar inside [mesh[0], mesh[-1]]. The result has shape
+    t.shape + (d,). At a mesh point the basis weights are exactly 0 and 1,
+    so the stored state comes back exactly (a stored -0.0 may come back as
+    0.0).
+    """
+    # Searching the interior points gives the left end of t's interval,
+    # and the last interval also for t = mesh[-1]; the right end of
+    # interval lo is row lo of the [1:] views.
+    lo = mesh[1:-1].searchsorted(t, side="right")
+    t0 = mesh[lo]
+    h = mesh[1:][lo] - t0
     th = (t - t0) / h
     omt = 1.0 - th
-    h00 = (1.0 + 2.0 * th) * omt * omt
-    h10 = th * omt * omt
-    h01 = th * th * (3.0 - 2.0 * th)
-    h11 = th * th * (th - 1.0)
-    return h00 * y0 + (h10 * h) * f0 + h01 * y1 + (h11 * h) * f1
+    h01 = th * th * (3.0 - (th + th))
+    a = th * omt * h
+    # take() gathers rows several times faster than fancy indexing
+    return ((1.0 - h01)[..., None] * states.take(lo, 0)
+            + (a * omt)[..., None] * derivs.take(lo, 0)
+            + h01[..., None] * states[1:].take(lo, 0)
+            - (a * th)[..., None] * derivs[1:].take(lo, 0))
+
+
+def _doubled(a):
+    """a with twice the rows; the new rows stay unwritten."""
+    out = np.empty((2 * len(a),) + a.shape[1:])
+    out[:len(a)] = a
+    return out
 
 
 def _breakpoints(delays, t_end):
@@ -159,53 +187,61 @@ def solve(dde, t_end, opts=None):
     if not t_end > 0.0:
         raise ValueError("t_end must be positive")
     d = dde.dimension
-    delays = dde.delays
-    tau_min = delays[0] if delays else math.inf
+    delays = np.array(dde.delays)
+    tau_min, tau_max = ((dde.delays[0], dde.delays[-1]) if dde.delays
+                        else (math.inf, 0.0))
     history = dde.history
+    rhs = dde.rhs
 
     y0 = np.asarray(history(0.0), dtype=float)
     if y0.shape != (d,):
         raise ValueError("history must return length-%d states" % d)
 
-    ts = [0.0]
-    ys = [y0]
-    fs = []
+    mesh = np.empty(_INITIAL_CAPACITY)
+    states = np.empty((_INITIAL_CAPACITY, d))
+    derivs = np.empty((_INITIAL_CAPACITY, d))
+    mesh[0] = 0.0
+    states[0] = y0
+    n = 1
 
-    def eval_past(tq):
-        if tq <= 0.0:
-            return np.asarray(history(tq), dtype=float)
+    def delayed(times):
+        """Delayed states for the ascending stage times, shape
+        (len(times), d, len(delays)); the Z of stage s is [s]."""
+        q = np.subtract.outer(times, delays)
+        q_min = times[0] - tau_max
+        q_max = times[-1] - tau_min
+        t_last = mesh[n - 1]
         # method-of-steps soundness: the step cap guarantees delayed
         # queries stay inside the accepted mesh
-        if tq > ts[-1] * (1.0 + 1e-12) + 1e-300:
+        if q_max > t_last * (1.0 + 1e-12) + 1e-300:
             raise RuntimeError(
                 "delayed lookup at t = %g beyond accepted mesh %g"
-                % (tq, ts[-1]))
-        if tq >= ts[-1]:
-            return ys[-1]
-        k = bisect.bisect_right(ts, tq) - 1
-        if ts[k] == tq:
-            return ys[k]
-        return _hermite(ts[k], ys[k], fs[k], ts[k + 1], ys[k + 1],
-                        fs[k + 1], tq)
+                % (q_max, t_last))
+        if q_max <= 0.0:
+            Z = np.empty(q.shape + (d,))
+        else:
+            # queries past the last mesh point read its state; those at or
+            # below zero are overwritten from the history below
+            Z = _hermite(mesh[:n], states[:n], derivs[:n],
+                         np.minimum(q, t_last) if q_max > t_last else q)
+        if q_min <= 0.0:
+            for s, j in zip(*np.nonzero(q <= 0.0)):
+                Z[s, j] = history(float(q[s, j]))
+        return Z.transpose(0, 2, 1)
 
-    nd = len(delays)
-
-    def frhs(t, y):
-        Z = np.empty((d, nd))
-        for j, tau in enumerate(delays):
-            Z[:, j] = eval_past(t - tau)
-        out = np.asarray(dde.rhs(t, y, Z), dtype=float)
+    def checked_rhs(t, y):
+        out = np.asarray(rhs(t, y, delayed((t,))[0]), dtype=float)
         if out.shape != (d,):
             raise ValueError("rhs must return length-%d derivatives" % d)
         if not np.all(np.isfinite(out)):
             raise SolverError("non-finite right-hand side at t = %g" % t)
         return out
 
-    stops = _breakpoints(delays, t_end)
+    stops = _breakpoints(dde.delays, t_end)
     stops.append(t_end)
 
-    f0 = frhs(0.0, y0)
-    fs.append(f0)
+    f0 = checked_rhs(0.0, y0)
+    derivs[0] = f0
 
     def initial_step():
         cap = min(opts.h_max, tau_min, stops[0])
@@ -221,7 +257,7 @@ def solve(dde, t_end, opts=None):
         else:
             h0 = 0.01 * d0 / d1
         h0 = min(h0, cap)
-        f1 = frhs(h0, y0 + h0 * f0)
+        f1 = checked_rhs(h0, y0 + h0 * f0)
         d2 = float(np.max(np.abs(f1 - f0) / scale)) / h0
         dm = max(d1, d2)
         if dm > 1e-15:
@@ -231,9 +267,13 @@ def solve(dde, t_end, opts=None):
         return min(100.0 * h0, h1, cap)
 
     h = initial_step()
-    k1 = f0
+    atol, rtol, h_max = opts.atol, opts.rtol, opts.h_max
+    # stage derivatives; row 0 is the derivative at the current point
+    K = np.empty((4, d))
+    K[0] = f0
     t = 0.0
     y = y0
+    abs_y = np.abs(y0)
     stop_idx = 0
     taken = 0
     rejected = 0
@@ -247,7 +287,7 @@ def solve(dde, t_end, opts=None):
                 % (opts.max_steps, t, taken, rejected))
         next_stop = stops[stop_idx]
         remaining = next_stop - t
-        h = min(h, opts.h_max, tau_min)
+        h = min(h, h_max, tau_min)
         # land exactly on the stop; take half the gap instead of leaving
         # a sliver behind
         on_stop = False
@@ -260,22 +300,30 @@ def solve(dde, t_end, opts=None):
             raise SolverError("step size underflow at t = %.17g" % t)
         attempts += 1
 
-        k2 = frhs(t + _C2 * h, y + (_C2 * h) * k1)
-        k3 = frhs(t + _C3 * h, y + (_C3 * h) * k2)
-        y_new = y + h * (_B1 * k1 + _B2 * k2 + _B3 * k3)
+        t2 = t + _C2 * h
+        t3 = t + _C3 * h
         t_new = next_stop if on_stop else t + h
-        k4 = frhs(t_new, y_new)
-        err = h * (_E1 * k1 + _E2 * k2 + _E3 * k3 + _E4 * k4)
-        scale = opts.atol + opts.rtol * np.maximum(np.abs(y), np.abs(y_new))
-        enorm = float(np.max(np.abs(err) / scale))
+        Z = delayed((t2, t3, t_new))
+        K[1] = rhs(t2, y + (_C2 * h) * K[0], Z[0])
+        K[2] = rhs(t3, y + (_C3 * h) * K[1], Z[1])
+        y_new = y + h * (_B @ K[:3])
+        K[3] = rhs(t_new, y_new, Z[2])
+        abs_new = np.abs(y_new)
+        # a non-finite stage makes the norm nan or inf
+        enorm = h * float((np.abs(_E @ K)
+                           / (atol + rtol * np.maximum(abs_y, abs_new))).max())
 
         if enorm <= 1.0:
+            if n == mesh.size:
+                mesh, states, derivs = map(_doubled, (mesh, states, derivs))
+            mesh[n] = t_new
+            states[n] = y_new
+            derivs[n] = K[3]
+            n += 1
             t = t_new
             y = y_new
-            k1 = k4
-            ts.append(t)
-            ys.append(y)
-            fs.append(k4)
+            abs_y = abs_new
+            K[0] = K[3]
             taken += 1
             if on_stop:
                 stop_idx += 1
@@ -284,12 +332,20 @@ def solve(dde, t_end, opts=None):
             else:
                 h *= min(5.0, max(0.2, 0.9 * enorm ** (-1.0 / 3.0)))
         else:
+            if not (math.isfinite(enorm) or np.isfinite(K).all()):
+                raise SolverError(
+                    "non-finite right-hand side in the step from t = %g"
+                    % t)
             rejected += 1
             h *= min(5.0, max(0.2, 0.9 * enorm ** (-1.0 / 3.0)))
 
-    return Trajectory(mesh=np.array(ts), states=np.vstack(ys),
-                      derivs=np.vstack(fs), steps_taken=taken,
-                      steps_rejected=rejected)
+    # Exact-length views: rows past n were never written, so they take
+    # address space but no memory. Copies would briefly double the result
+    # and then free large blocks, which raises glibc's mmap threshold and
+    # kept later temporaries resident (+3.7 MB peak RSS when sampling
+    # 100000 points).
+    return Trajectory(mesh=mesh[:n], states=states[:n], derivs=derivs[:n],
+                      steps_taken=taken, steps_rejected=rejected)
 
 
 def dense_eval(traj, t):
@@ -299,23 +355,14 @@ def dense_eval(traj, t):
     t.shape + (d,). Times outside the covered interval raise ValueError.
     """
     mesh = traj.mesh
-    # Work on t.T: y[:, lo] then has shape (d,) + t.T.shape, the Hermite
-    # weights (shaped like t.T) broadcast against it, and the final .T
-    # puts d last. [()] makes a 0-d t a numpy scalar, which is faster.
-    t = np.asarray(t, dtype=float).T[()]
+    t = np.asarray(t, dtype=float)
     inside = (t >= mesh[0]) & (t <= mesh[-1])
     if not inside.all():
         raise ValueError(
             "t = %g outside the covered interval [%g, %g]"
             % (np.extract(~inside, t)[0], mesh[0], mesh[-1]))
-    k = np.searchsorted(mesh, t, side="right") - 1
-    # the last mesh point has no successor; clamp so k + 1 stays valid
-    lo = np.minimum(k, mesh.size - 2)
-    y, f = traj.states.T, traj.derivs.T
-    out = _hermite(mesh[lo], y[:, lo], f[:, lo],
-                   mesh[lo + 1], y[:, lo + 1], f[:, lo + 1], t)
-    # mesh points, t_end included, return the stored states exactly
-    return np.where(mesh[k] == t, y[:, k], out).T
+    # [()] makes a 0-d t a numpy scalar, which is faster
+    return _hermite(mesh, traj.states, traj.derivs, t[()])
 
 
 def sample(traj, k):

@@ -123,8 +123,7 @@ def test_criterion_05_equivalence_recomputation(request):
         worst = 0.0
         for tc in np.linspace(1.0, run.horizon, 50):
             state = pdl.dense_eval(run.traj, tc)
-            past = np.array([pdl.dense_eval(run.traj, tc - tau)[1]
-                             for tau in rule.nodes])
+            past = pdl.dense_eval(run.traj, tc - rule.nodes)[:, 1]
             powers = np.ones_like(past)
             for i in range(n + 1):
                 recomputed = span * float(np.dot(rule.weights,

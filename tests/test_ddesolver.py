@@ -226,3 +226,129 @@ def test_step_budget_enforced():
     opts = pdl.SolverOptions(max_steps=3)
     with pytest.raises(pdl.SolverError):
         pdl.solve(_benchmark(), 4.0, opts)
+
+
+def test_nonfinite_rhs_mid_run_raises_solver_error():
+    # finite until t = 1.3, so the f0 check passes and the error has to
+    # come from the per-step check
+    bad_calls = []
+
+    def rhs(t, y, Z):
+        if t > 1.3:
+            bad_calls.append(t)
+            return np.array([math.inf])
+        return -Z[:, 0]
+
+    dde = pdl.DiscreteDelayDde(dimension=1, delays=(1.0,), rhs=rhs,
+                               history=lambda t: np.array([1.0]))
+    with pytest.raises(pdl.SolverError, match="non-finite"):
+        pdl.solve(dde, 4.0)
+    # one attempt's three stages at most: no rejection loop
+    assert 1 <= len(bad_calls) <= 3
+
+
+def _linear_history(t):
+    if t > 0.0:
+        raise AssertionError("history read at t = %g > 0" % t)
+    return np.array([1.0 + t])
+
+
+def test_single_delay_with_linear_history_matches_hand_solution():
+    # y' = -y(t - 1), history 1 + t: y = 1 - t^2/2 on [0, 1], then
+    # y = 1/2 - (t-1) + (t-1)^3/6 on [1, 2], so y(2) = -1/3
+    dde = pdl.DiscreteDelayDde(dimension=1, delays=(1.0,),
+                               rhs=lambda t, y, Z: -Z[:, 0],
+                               history=_linear_history)
+    traj = pdl.solve(dde, 2.0, pdl.SolverOptions(rtol=1e-10, atol=1e-12))
+    ts = np.linspace(0.0, 1.0, 11)
+    assert np.allclose(pdl.dense_eval(traj, ts)[:, 0], 1.0 - ts ** 2 / 2.0,
+                       rtol=0.0, atol=1e-9)
+    assert pdl.dense_eval(traj, 2.0)[0] == pytest.approx(-1.0 / 3.0,
+                                                         abs=1e-9)
+
+
+_DELAYS3 = (0.3, 0.7, 1.0)
+_COEFFS3 = (0.5, 0.3, 0.2)
+
+
+def _method_of_steps_polynomials(t_end):
+    """Exact solution of y' = -sum_j c_j y(t - tau_j) with history 1 + t,
+    as (breakpoints, polynomials in t) built interval by interval."""
+    P = np.polynomial.Polynomial
+    sums = {0.0}
+    for _ in range(int(t_end / min(_DELAYS3)) + 1):
+        sums |= {round(s + tau, 12) for s in sums for tau in _DELAYS3}
+    cuts = sorted(s for s in sums if s < t_end) + [t_end]
+    pieces = []
+
+    def piece_at(s):
+        # the polynomial valid on a delayed interval starting at s
+        if s < 0.0:
+            return P([1.0, 1.0])
+        k = max(i for i, c in enumerate(cuts[:-1]) if c <= s + 1e-12)
+        return pieces[k]
+
+    y_left = 1.0
+    for lo, hi in zip(cuts, cuts[1:]):
+        mid = 0.5 * (lo + hi)
+        slope = sum(-c * piece_at(mid - tau)(P([-tau, 1.0]))
+                    for c, tau in zip(_COEFFS3, _DELAYS3))
+        poly = slope.integ(lbnd=lo) + y_left
+        pieces.append(poly)
+        y_left = poly(hi)
+    return cuts, pieces
+
+
+def test_three_delays_match_method_of_steps():
+    history_args = []
+    stage_calls = []
+
+    def hist(t):
+        history_args.append(t)
+        return _linear_history(t)
+
+    def rhs(t, y, Z):
+        stage_calls.append((t, Z.copy()))
+        return np.array([-(Z[0] @ _COEFFS3)])
+
+    dde = pdl.DiscreteDelayDde(dimension=1, delays=_DELAYS3, rhs=rhs,
+                               history=hist)
+    t_end = 2.0
+    traj = pdl.solve(dde, t_end, pdl.SolverOptions(rtol=1e-10, atol=1e-12))
+    assert max(history_args) <= 0.0
+
+    cuts, pieces = _method_of_steps_polynomials(t_end)
+    for lo, hi, poly in zip(cuts, cuts[1:], pieces):
+        ts = np.linspace(lo, hi, 7)
+        assert np.allclose(pdl.dense_eval(traj, ts)[:, 0], poly(ts),
+                           rtol=0.0, atol=1e-8)
+
+    # every batched lookup reads the continuous extension that dense_eval
+    # reports afterwards, and the history at or below zero
+    for t, Z in stage_calls:
+        assert Z.shape == (1, 3)
+        for j, tau in enumerate(_DELAYS3):
+            q = t - tau
+            want = 1.0 + q if q <= 0.0 else pdl.dense_eval(traj, q)[0]
+            assert Z[0, j] == pytest.approx(want, rel=0.0, abs=1e-14)
+
+
+def test_zero_delay_dde_decays_exponentially():
+    dde = pdl.DiscreteDelayDde(dimension=1, delays=(),
+                               rhs=lambda t, y, Z: -y,
+                               history=lambda t: np.array([1.0]))
+    traj = pdl.solve(dde, 1.0)
+    assert pdl.dense_eval(traj, 1.0)[0] == \
+        pytest.approx(math.exp(-1.0), abs=1e-5)
+
+
+def test_long_solve_returns_exact_length_arrays():
+    opts = pdl.SolverOptions(h_max=1e-3)
+    traj = pdl.solve(_benchmark(), 2.0, opts)
+    assert traj.steps_taken > 1024
+    rows = traj.steps_taken + 1
+    assert traj.mesh.shape == (rows,)
+    assert traj.states.shape == (rows, 1)
+    assert traj.derivs.shape == (rows, 1)
+    assert traj.mesh[-1] == 2.0
+    assert np.all(np.diff(traj.mesh) > 0.0)
