@@ -18,8 +18,7 @@ from .quadrature import (QuadratureRule, RecurrenceCoefficients, apply,
                          build_quadrature_dde, gauss_jacobi, gauss_legendre,
                          jacobi_recurrence)
 from .transform import (DistributedDelayDde, EquivalentSystem,
-                        StationaryPoint, StructureMatrix,
-                        aux_initial_values, build_equivalent,
+                        StationaryPoint, aux_initial_values, build_equivalent,
                         find_stationary, nilpotent_exponential,
                         scale_distributed, scale_system, stationary_aux,
                         structure_matrix)
@@ -37,7 +36,7 @@ __all__ = [
     "build_quadrature_dde", "gauss_jacobi", "gauss_legendre",
     "jacobi_recurrence",
     "DistributedDelayDde", "EquivalentSystem", "StationaryPoint",
-    "StructureMatrix", "aux_initial_values", "build_equivalent",
+    "aux_initial_values", "build_equivalent",
     "find_stationary", "nilpotent_exponential", "scale_distributed",
     "scale_system", "stationary_aux", "structure_matrix",
     "MAX_DEGREE", "PolynomialWeight", "beta_polynomial", "evaluate",

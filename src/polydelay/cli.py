@@ -15,7 +15,7 @@ command-line flags, in that order of precedence. Floats are written with
 import argparse
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -69,8 +69,8 @@ class ExperimentConfig:
             raise ConfigError("variant must be one of %s" % (_VARIANTS,))
         if self.variant == "quadrature" and self.m < 1:
             raise ConfigError("m must be at least 1 for the quadrature variant")
-        if not self.t_end > 0.0:
-            raise ConfigError("t_end must be positive")
+        if not 0.0 < self.t_end < np.inf:
+            raise ConfigError("t_end must be positive and finite")
         if self.samples < 2:
             raise ConfigError("samples must be at least 2")
         try:
@@ -102,12 +102,7 @@ PRESETS = {
         h_max=5e-4, t_end=1000.0, samples=1000, scale=True),
 }
 
-_FIELD_TYPES = {
-    "model": str, "variant": str, "sigma": float, "theta": float,
-    "a": float, "b": float, "p": int, "q": int, "m": int,
-    "rtol": float, "atol": float, "h_max": float, "t_end": float,
-    "samples": int, "scale": bool,
-}
+_FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
 
 _TRUE_WORDS = ("1", "true", "yes", "on")
 _FALSE_WORDS = ("0", "false", "no", "off")
@@ -121,11 +116,7 @@ def _parse_value(kind, text):
         if low in _FALSE_WORDS:
             return False
         raise ValueError("not a boolean")
-    if kind is int:
-        return int(text)
-    if kind is float:
-        return float(text)
-    return text
+    return kind(text)
 
 
 def parse_config_file(path):
@@ -217,6 +208,11 @@ def _sir_params(config):
                              weight=weight, y0=(0.99, 0.01, 0.0))
 
 
+def _quadrature_dde(config, base, m):
+    rule = gauss_jacobi(m, config.p, config.q, base.weight.a, base.weight.b)
+    return build_quadrature_dde(base, rule)
+
+
 def _sir_base(config):
     base = sir_distributed(_sir_params(config))
     tfac = 1.0
@@ -244,9 +240,7 @@ def run_solve(config):
             dde = system.assembled
             aux_names = ["x%d" % i for i in range(system.degree + 1)]
         else:
-            rule = gauss_jacobi(config.m, config.p, config.q,
-                                base.weight.a, base.weight.b)
-            dde = build_quadrature_dde(base, rule)
+            dde = _quadrature_dde(config, base, config.m)
             aux_names = []
         header = ["t", "S", "I", "R"] + aux_names
     traj = solve(dde, t_end, _solver_options(config))
@@ -291,9 +285,7 @@ def run_convergence(config, m_list):
     ref_vals = dense_eval(ref, grid)[:, :3]
 
     def one_m(m):
-        rule = gauss_jacobi(m, config.p, config.q,
-                            base.weight.a, base.weight.b)
-        traj = solve(build_quadrature_dde(base, rule), t_end, opts)
+        traj = solve(_quadrature_dde(config, base, m), t_end, opts)
         return np.max(np.abs(dense_eval(traj, grid)[:, :3] - ref_vals),
                       axis=0)
 
@@ -339,9 +331,23 @@ def run_stationary(config):
     return lines
 
 
+# 17 significant digits round-trip to the identical float
+_FMT = "%.17g"
+
+
 def _fmt(value):
-    # 17 significant digits round-trip to the identical float
-    return format(float(value), ".17g")
+    return _FMT % float(value)
+
+
+@contextmanager
+def _output(path):
+    # path None is standard output; a path is opened here so numpy never
+    # picks a compressed format from its suffix
+    if path is None:
+        yield sys.stdout
+    else:
+        with open(path, "w") as fh:
+            yield fh
 
 
 def write_csv(header, rows, path=None):
@@ -349,19 +355,14 @@ def write_csv(header, rows, path=None):
 
     path None writes to standard output. Identical inputs produce
     byte-identical files."""
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    _emit_lines(lines, path)
+    with _output(path) as fh:
+        np.savetxt(fh, rows, fmt=_FMT, delimiter=",",
+                   header=",".join(header), comments="")
 
 
 def _emit_lines(lines, path=None):
-    text = "\n".join(lines) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+    with _output(path) as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def _add_common_flags(sub):
@@ -404,41 +405,31 @@ def _build_parser():
     return parser
 
 
-def _single_m(args):
-    if args.m is None:
-        return None
+def _parse_m(text, study):
+    """--m as one node count, or for a study the list of counts: a comma
+    list, or M meaning 1..M (1..8 when absent)."""
+    if text is None:
+        return list(range(1, 9)) if study else None
     try:
-        return int(args.m)
+        if study and "," in text:
+            return [int(part) for part in text.split(",")]
+        m = int(text)
     except ValueError:
-        raise ConfigError("--m must be an integer, got %r" % args.m)
-
-
-def _m_list(args):
-    if args.m is None:
-        return list(range(1, 9))
-    text = str(args.m)
-    try:
-        if "," in text:
-            values = [int(part) for part in text.split(",")]
-        else:
-            values = list(range(1, int(text) + 1))
-    except ValueError:
-        raise ConfigError(
-            "--m must be an integer or comma list, got %r" % text)
-    return values
+        raise ConfigError("--m must be an integer%s, got %r"
+                          % (" or comma list" if study else "", text))
+    return list(range(1, m + 1)) if study else m
 
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
+    study = args.command == "convergence"
     try:
-        if args.command == "convergence":
-            m_flag = None
-        else:
-            m_flag = _single_m(args)
+        m_flag = _parse_m(args.m, study)
         config = assemble_config(
             preset=args.preset, config_path=args.config,
-            variant=args.variant, m=m_flag, rtol=args.rtol, atol=args.atol,
-            h_max=args.h_max, t_end=args.t_end, samples=args.samples)
+            variant=args.variant, m=None if study else m_flag,
+            rtol=args.rtol, atol=args.atol, h_max=args.h_max,
+            t_end=args.t_end, samples=args.samples)
         if args.command == "solve":
             header, rows, info = run_solve(config)
             write_csv(header, rows, args.out)
@@ -446,7 +437,7 @@ def main(argv=None):
                   % (info["steps_taken"], info["steps_rejected"]),
                   file=sys.stderr)
         elif args.command == "convergence":
-            report = run_convergence(config, _m_list(args))
+            report = run_convergence(config, m_flag)
             header = ["m", "dS", "dI", "dR"]
             rows = [[m, report.diffs["S"][k], report.diffs["I"][k],
                      report.diffs["R"][k]]

@@ -184,8 +184,8 @@ def solve(dde, t_end, opts=None):
     """
     if opts is None:
         opts = SolverOptions()
-    if not t_end > 0.0:
-        raise ValueError("t_end must be positive")
+    if not 0.0 < t_end < math.inf:
+        raise ValueError("t_end must be positive and finite")
     d = dde.dimension
     delays = np.array(dde.delays)
     tau_min, tau_max = ((dde.delays[0], dde.delays[-1]) if dde.delays

@@ -74,13 +74,13 @@ def sir_distributed(params):
                                history=hist)
 
 
-def sir_equivalent(params, rule=None):
+def sir_equivalent(params):
     """Equivalent two-delay system of the delayed SIR model.
 
     For a degree-4 density this is the 8-dimensional system: S, I, R plus
     the auxiliary chain x_0..x_4 of I.
     """
-    return build_equivalent(sir_distributed(params), rule)
+    return build_equivalent(sir_distributed(params))
 
 
 def sir_conserved(traj, k=1000):

@@ -134,8 +134,7 @@ def _check_rule_args(m, a, b):
 
 def gauss_legendre(m, a, b):
     """m-node Gauss-Legendre rule for the uniform density on [a, b]."""
-    m, a, b = _check_rule_args(m, a, b)
-    return _rule_from_recurrence(jacobi_recurrence(m, 0.0, 0.0), a, b)
+    return gauss_jacobi(m, 0, 0, a, b)
 
 
 def gauss_jacobi(m, p, q, a, b):

@@ -89,18 +89,12 @@ def aux_initial_values(history, weight, rule):
     """
     a, b = weight.a, weight.b
     check_rule_interval(rule, a, b)
-    n = weight.degree
     h0 = float(history(0.0))
     hv = np.array([float(history(-tau)) for tau in rule.nodes])
     if np.all(hv == h0):
-        i1 = np.arange(1, n + 2)
-        return h0 * (b ** i1 - a ** i1) / i1
-    out = np.empty(n + 1)
-    powers = np.ones_like(hv)
-    for i in range(n + 1):
-        out[i] = (b - a) * float(np.dot(rule.weights, hv * powers))
-        powers = powers * rule.nodes
-    return out
+        return stationary_aux(h0, weight)
+    powers = np.vander(rule.nodes, weight.degree + 1, increasing=True)
+    return (b - a) * (rule.weights @ (hv[:, None] * powers))
 
 
 def stationary_aux(y_star_component, weight):
@@ -109,20 +103,19 @@ def stationary_aux(y_star_component, weight):
     return float(y_star_component) * (weight.b ** i1 - weight.a ** i1) / i1
 
 
-def build_equivalent(dde, rule=None):
+def build_equivalent(dde):
     """Assemble the equivalent two-delay system of a distributed-delay DDE.
 
-    rule is the plain quadrature used to initialise the auxiliary chains
-    from the history (32-node Gauss-Legendre on [a, b] by default;
-    constant histories bypass it through the closed form). The assembled
-    DDE has dimension d + (n+1) * #delayed and delays {a, b}, or just {b}
-    when a = 0 since a zero lag is the current state.
+    The auxiliary chains start from the history through a 32-node
+    Gauss-Legendre rule on [a, b] (constant histories use the closed
+    form). The assembled DDE has dimension d + (n+1) * #delayed and
+    delays {a, b}, or just {b} when a = 0 since a zero lag is the current
+    state.
     """
     w = dde.weight
     a, b = w.a, w.b
     n = w.degree
-    if rule is None:
-        rule = gauss_legendre(32, a, b)
+    rule = gauss_legendre(32, a, b)
     d = dde.dimension
     comps = sorted(dde.delayed_components)
     aux_count = (n + 1) * len(comps)
@@ -201,7 +194,7 @@ def scale_distributed(dde):
         delayed_components=dde.delayed_components, history=hist)
 
 
-def scale_system(sys, rule=None):
+def scale_system(sys):
     """Rescale an equivalent system so the maximum delay is one.
 
     Base right-hand sides are multiplied by b, the delays become
@@ -209,15 +202,7 @@ def scale_system(sys, rule=None):
     regenerated from the rescaled weight, so the base components satisfy
     y_scaled(t / b) = y(t).
     """
-    return build_equivalent(scale_distributed(sys.base), rule)
-
-
-@dataclass(frozen=True)
-class StructureMatrix:
-    """Subdiagonal coupling matrix of an auxiliary chain of degree n."""
-
-    n: int
-    entries: np.ndarray
+    return build_equivalent(scale_distributed(sys.base))
 
 
 def structure_matrix(n):
@@ -229,22 +214,18 @@ def structure_matrix(n):
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    A = np.zeros((n + 1, n + 1))
-    for i in range(1, n + 1):
-        A[i, i - 1] = float(i)
-    return StructureMatrix(n=n, entries=A)
+    return np.diag(np.arange(1.0, n + 1), -1)
 
 
 def nilpotent_exponential(A, t):
-    """exp(t A) as the exact finite sum of n+1 powers.
+    """exp(t A) for an (n+1) x (n+1) structure matrix A, as the exact
+    finite sum of n+1 powers.
 
     Because A is nilpotent of index n+1 the series terminates; the
     entries are polynomials in t."""
-    n = A.n
-    out = np.eye(n + 1)
-    term = np.eye(n + 1)
-    for j in range(1, n + 1):
-        term = (term @ A.entries) * (t / j)
+    out = term = np.eye(len(A))
+    for j in range(1, len(A)):
+        term = (term @ A) * (t / j)
         out = out + term
     return out
 
@@ -266,8 +247,7 @@ def find_stationary(dde, guess, tol=1e-12, max_iter=50):
 
     def resid(y):
         z = np.zeros(d)
-        for c in comps:
-            z[c] = y[c]
+        z[comps] = y[comps]
         return np.asarray(dde.rhs(0.0, y, z), dtype=float)
 
     y = np.asarray(guess, dtype=float).copy()

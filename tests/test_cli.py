@@ -36,6 +36,8 @@ def test_config_validation_errors():
         cli.ExperimentConfig(samples=1)
     with pytest.raises(cli.ConfigError):
         cli.ExperimentConfig(t_end=0.0)
+    with pytest.raises(cli.ConfigError, match="finite"):
+        cli.ExperimentConfig(t_end=math.inf)
     with pytest.raises(cli.ConfigError):
         cli.ExperimentConfig(rtol=1.0)
     with pytest.raises(cli.ConfigError):
@@ -154,6 +156,27 @@ def test_out_flag_matches_stdout(tmp_path, capsys):
     assert target.read_text() == out
 
 
+def test_write_csv_cells_are_fmt_of_each_value(tmp_path, capsys):
+    # the cells numpy writes are exactly _fmt of each value, also for
+    # signed zero, non-finite values, a subnormal and an integer column
+    header = ["m", "a", "b", "c"]
+    rows = [[1, -0.0, math.inf, math.nan],
+            [12, -math.inf, 5e-324, 2.2250738585072014e-308 / 3.0],
+            [3, 0.1, -1.0 / 3.0, 1e300]]
+    cli.write_csv(header, rows)
+    out = capsys.readouterr().out
+    target = tmp_path / "cells.csv"
+    cli.write_csv(header, rows, str(target))
+    assert target.read_bytes() == out.encode()
+    lines = out.split("\n")
+    assert lines[0] == "m,a,b,c"
+    assert lines[-1] == ""
+    cells = [line.split(",") for line in lines[1:-1]]
+    assert cells == [[cli._fmt(v) for v in row] for row in rows]
+    assert cells[0] == ["1", "-0", "inf", "nan"]
+    assert cells[1][:3] == ["12", "-inf", "4.9406564584124654e-324"]
+
+
 def test_quad_table_case_i_single_node(capsys):
     code, out, _ = _run(["quad", "--preset", "case-i", "--m", "1"], capsys)
     assert code == 0
@@ -240,6 +263,10 @@ def test_exit_code_config_errors(tmp_path, capsys):
     code, _, err = _run(["quad", "--preset", "case-i", "--m", "0"], capsys)
     assert code == cli.EXIT_CONFIG
     assert "config error" in err
+    code, _, err = _run(["solve", "--preset", "case-i", "--t-end", "inf"],
+                        capsys)
+    assert code == cli.EXIT_CONFIG
+    assert "finite" in err
 
 
 def test_exit_code_solver_failure(capsys, monkeypatch):

@@ -1,12 +1,14 @@
 """Method-of-steps integrator: hand-computed benchmark values, order
 behaviour of the continuous extension, and input validation."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 import polydelay as pdl
+from polydelay.ddesolver import _breakpoints
 
 
 def _benchmark():
@@ -202,6 +204,36 @@ def test_invalid_horizon_rejected():
         pdl.solve(_benchmark(), 0.0)
     with pytest.raises(ValueError):
         pdl.solve(_benchmark(), -1.0)
+    with pytest.raises(ValueError, match="finite"):
+        pdl.solve(_benchmark(), math.inf)
+
+
+def _pair_sums(delays, t_end):
+    # brute force: the sum of every multiset of at most four delays with
+    # at most two distinct values, inside (0, t_end - 1e-12)
+    return [sum(combo) for r in range(1, 5)
+            for combo in itertools.combinations_with_replacement(delays, r)
+            if len(set(combo)) <= 2 and sum(combo) < t_end - 1e-12]
+
+
+@pytest.mark.parametrize("delays, count", [
+    (tuple(pdl.gauss_jacobi(8, 2, 2, 0.2, 1.0).nodes), 194),
+    ((0.2, 1.0), 14)])
+def test_breakpoints_match_brute_force_delay_sums(delays, count):
+    t_end = 20.0 / 3.0
+    stops = np.array(_breakpoints(delays, t_end))
+    want = np.array(_pair_sums(delays, t_end))
+    assert len(stops) == count
+    assert np.all(np.diff(stops) > 1e-12)
+    assert stops[0] > 0.0 and stops[-1] < t_end - 1e-12
+    # every brute-force sum is represented, and every stop is such a sum
+    gaps = np.abs(np.subtract.outer(stops, want))
+    assert gaps.min(axis=0).max() <= 1e-12
+    assert gaps.min(axis=1).max() <= 1e-12
+
+
+def test_breakpoints_empty_without_delays():
+    assert _breakpoints((), 5.0) == []
 
 
 def test_history_dimension_mismatch_rejected():

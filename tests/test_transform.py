@@ -69,10 +69,10 @@ def test_degenerate_interval_solve_matches_quadrature():
     eq = pdl.solve(pdl.build_equivalent(dde).assembled, 3.0)
     rule = pdl.gauss_legendre(12, 0.0, 1.0)
     qd = pdl.solve(pdl.build_quadrature_dde(dde, rule), 3.0)
-    for t in np.linspace(0.5, 3.0, 11):
-        ye = pdl.dense_eval(eq, t)[0]
-        yq = pdl.dense_eval(qd, t)[0]
-        assert ye == pytest.approx(yq, abs=2e-4)
+    ts = np.linspace(0.5, 3.0, 11)
+    ye = pdl.dense_eval(eq, ts)[:, 0]
+    yq = pdl.dense_eval(qd, ts)[:, 0]
+    assert ye == pytest.approx(yq, abs=2e-4)
 
 
 def test_sir_equivalent_dimension(case_i_params):
@@ -198,10 +198,10 @@ def test_scaled_and_unscaled_solves_agree(case_i_params):
     scaled = pdl.scale_system(system)
     plain = pdl.solve(system.assembled, 1000.0, opts)
     fast = pdl.solve(scaled.assembled, 20.0 / 3.0, opts)
-    for t in np.linspace(0.0, 1000.0, 100):
-        yu = pdl.dense_eval(plain, t)[:3]
-        ys = pdl.dense_eval(fast, t / 150.0)[:3]
-        assert np.max(np.abs(yu - ys)) <= 1e-4
+    ts = np.linspace(0.0, 1000.0, 100)
+    yu = pdl.dense_eval(plain, ts)[:, :3]
+    ys = pdl.dense_eval(fast, ts / 150.0)[:, :3]
+    assert np.max(np.abs(yu - ys)) <= 1e-4
 
 
 def test_scaled_aux_initial_values(case_i_params):
@@ -217,8 +217,8 @@ def test_scaled_aux_initial_values(case_i_params):
 
 
 def test_structure_matrix_shapes():
-    assert np.array_equal(pdl.structure_matrix(0).entries, np.zeros((1, 1)))
-    A2 = pdl.structure_matrix(2).entries
+    assert np.array_equal(pdl.structure_matrix(0), np.zeros((1, 1)))
+    A2 = pdl.structure_matrix(2)
     assert np.array_equal(A2, np.array([[0.0, 0.0, 0.0],
                                         [1.0, 0.0, 0.0],
                                         [0.0, 2.0, 0.0]]))
@@ -228,7 +228,7 @@ def test_structure_matrix_shapes():
 
 @pytest.mark.parametrize("n", range(0, 7))
 def test_structure_matrix_rank_and_nilpotency(n):
-    A = pdl.structure_matrix(n).entries
+    A = pdl.structure_matrix(n)
     assert np.linalg.matrix_rank(A) == n
     assert np.all(np.linalg.matrix_power(A, n + 1) == 0.0)
     if n >= 1:
@@ -236,7 +236,7 @@ def test_structure_matrix_rank_and_nilpotency(n):
 
 
 def test_structure_matrix_single_eigenvector():
-    A = pdl.structure_matrix(4).entries
+    A = pdl.structure_matrix(4)
     # kernel of A is the single eigenvector direction (0, 0, 0, 0, 1)
     _, s, vh = np.linalg.svd(A)
     kernel = vh[-1]
@@ -259,9 +259,8 @@ def test_nilpotent_exponential_two_by_two():
 
 
 def test_nilpotent_exponential_matches_expm():
-    sm = pdl.structure_matrix(4)
-    A = sm.entries
-    out = pdl.nilpotent_exponential(sm, 1.0)
+    A = pdl.structure_matrix(4)
+    out = pdl.nilpotent_exponential(A, 1.0)
     assert np.max(np.abs(out - expm(A))) <= 1e-12
 
 
