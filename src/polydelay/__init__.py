@@ -14,9 +14,8 @@ from .ddesolver import (DiscreteDelayDde, SolverError, SolverOptions,
                         Trajectory, dense_eval, sample, solve)
 from .models import (SirParameters, sir_conserved, sir_distributed,
                      sir_equilibrium, sir_equivalent)
-from .quadrature import (QuadratureRule, RecurrenceCoefficients, apply,
-                         build_quadrature_dde, gauss_jacobi, gauss_legendre,
-                         jacobi_recurrence)
+from .quadrature import (QuadratureRule, apply, build_quadrature_dde,
+                         gauss_jacobi, gauss_legendre)
 from .transform import (DistributedDelayDde, EquivalentSystem,
                         StationaryPoint, aux_initial_values, build_equivalent,
                         find_stationary, nilpotent_exponential,
@@ -32,9 +31,8 @@ __all__ = [
     "dense_eval", "sample", "solve",
     "SirParameters", "sir_conserved", "sir_distributed", "sir_equilibrium",
     "sir_equivalent",
-    "QuadratureRule", "RecurrenceCoefficients", "apply",
-    "build_quadrature_dde", "gauss_jacobi", "gauss_legendre",
-    "jacobi_recurrence",
+    "QuadratureRule", "apply", "build_quadrature_dde", "gauss_jacobi",
+    "gauss_legendre",
     "DistributedDelayDde", "EquivalentSystem", "StationaryPoint",
     "aux_initial_values", "build_equivalent",
     "find_stationary", "nilpotent_exponential", "scale_distributed",

@@ -49,7 +49,7 @@ class DiscreteDelayDde:
     dimension : int
         State dimension d.
     delays : tuple of float
-        Strictly positive, pairwise distinct lags; stored sorted
+        Strictly positive, finite, pairwise distinct lags; stored sorted
         ascending.
     rhs : callable
         rhs(t, y, Z) -> length-d derivative; Z has one column per delay.
@@ -66,8 +66,8 @@ class DiscreteDelayDde:
         if self.dimension < 1:
             raise ValueError("dimension must be at least 1")
         delays = tuple(sorted(float(tau) for tau in self.delays))
-        if any(tau <= 0.0 for tau in delays):
-            raise ValueError("delays must be strictly positive")
+        if not all(0.0 < tau < math.inf for tau in delays):
+            raise ValueError("delays must be strictly positive and finite")
         if any(t1 <= t0 for t0, t1 in zip(delays, delays[1:])):
             raise ValueError("delays must be pairwise distinct")
         object.__setattr__(self, "delays", delays)

@@ -29,8 +29,8 @@ class SirParameters:
     """Rates, delay density and the constant initial populations (S, I, R).
 
     sigma is the infection rate, theta the recovery rate (both per unit
-    time and positive); y0 must be componentwise nonnegative and sum to
-    one within 1e-14.
+    time, positive and finite); y0 must be componentwise nonnegative and
+    finite and sum to one within 1e-14.
     """
 
     sigma: float
@@ -39,15 +39,15 @@ class SirParameters:
     y0: tuple
 
     def __post_init__(self):
-        if not self.sigma > 0.0:
-            raise ValueError("sigma must be positive")
-        if not self.theta > 0.0:
-            raise ValueError("theta must be positive")
+        if not 0.0 < self.sigma < math.inf:
+            raise ValueError("sigma must be positive and finite")
+        if not 0.0 < self.theta < math.inf:
+            raise ValueError("theta must be positive and finite")
         y0 = tuple(float(v) for v in self.y0)
         if len(y0) != 3:
             raise ValueError("y0 must have three components")
-        if any(v < 0.0 for v in y0):
-            raise ValueError("populations must be nonnegative")
+        if not all(0.0 <= v < math.inf for v in y0):
+            raise ValueError("populations must be nonnegative and finite")
         if abs(math.fsum(y0) - 1.0) > 1e-14:
             raise ValueError("populations must sum to one")
         object.__setattr__(self, "y0", y0)

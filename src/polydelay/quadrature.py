@@ -15,50 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ddesolver import DiscreteDelayDde
+from .weightfn import _checked_exponent
 
 _EPS = float(np.finfo(float).eps)
-
-
-@dataclass(frozen=True)
-class RecurrenceCoefficients:
-    """Three-term recurrence data of an orthogonal polynomial family.
-
-    diag holds the recurrence diagonal a_0..a_{m-1}, offdiag the square
-    roots of b_1..b_{m-1}, and mu0 the total mass of the (classical,
-    unnormalised) weight on [-1, 1].
-    """
-
-    diag: np.ndarray
-    offdiag: np.ndarray
-    mu0: float
-
-    def __post_init__(self):
-        if np.any(np.asarray(self.offdiag) <= 0.0):
-            raise ValueError("off-diagonal recurrence entries must be positive")
-
-
-def jacobi_recurrence(m, alpha, beta):
-    """Monic recurrence coefficients of the weight (1-x)^alpha (1+x)^beta
-    on [-1, 1], for the first m polynomials."""
-    if m < 1:
-        raise ValueError("need at least one recurrence coefficient")
-    nu = alpha + beta
-    diag = np.empty(m)
-    diag[0] = (beta - alpha) / (nu + 2.0)
-    for k in range(1, m):
-        two = 2.0 * k + nu
-        diag[k] = (beta * beta - alpha * alpha) / (two * (two + 2.0))
-    bsq = np.empty(m - 1)
-    if m > 1:
-        bsq[0] = (4.0 * (alpha + 1.0) * (beta + 1.0)
-                  / ((nu + 2.0) ** 2 * (nu + 3.0)))
-    for k in range(2, m):
-        two = 2.0 * k + nu
-        bsq[k - 1] = (4.0 * k * (k + alpha) * (k + beta) * (k + nu)
-                      / (two * two * (two + 1.0) * (two - 1.0)))
-    mu0 = (2.0 ** (nu + 1.0) * math.gamma(alpha + 1.0)
-           * math.gamma(beta + 1.0) / math.gamma(nu + 2.0))
-    return RecurrenceCoefficients(diag=diag, offdiag=np.sqrt(bsq), mu0=mu0)
 
 
 @dataclass(frozen=True)
@@ -83,6 +42,8 @@ class QuadratureRule:
         a, b = self.interval
         if nodes.size < 1 or weights.size != nodes.size:
             raise ValueError("need matching nonempty nodes and weights")
+        if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(weights))):
+            raise ValueError("nodes and weights must be finite")
         if np.any(np.diff(nodes) <= 0.0):
             raise ValueError("nodes must be strictly increasing")
         if nodes[0] <= a or nodes[-1] >= b:
@@ -103,33 +64,17 @@ def check_rule_interval(rule, a, b):
             "[%g, %g]" % (ra, rb, a, b))
 
 
-def _rule_from_recurrence(rec, a, b):
-    jacobi = (np.diag(rec.diag) + np.diag(rec.offdiag, 1)
-              + np.diag(rec.offdiag, -1))
-    lam, vecs = np.linalg.eigh(jacobi)
-    if np.any(np.diff(lam) <= 8.0 * _EPS):
-        raise RuntimeError(
-            "quadrature eigenvalues collided; recurrence data must be "
-            "inconsistent")
-    w = rec.mu0 * vecs[0] ** 2
-    total = float(w.sum())
-    if not total > 0.0:
-        raise RuntimeError("eigenvector mass vanished in the weight formula")
-    w = w / total
-    nodes = a + (b - a) * (lam + 1.0) / 2.0
-    m = lam.size
-    return QuadratureRule(nodes=nodes, weights=w, exactness=2 * m - 1,
-                          interval=(a, b))
-
-
 def _check_rule_args(m, a, b):
     if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
         raise TypeError("node count m must be an integer")
     if m < 1:
         raise ValueError("node count m must be at least 1")
-    if not float(b) > float(a):
-        raise ValueError("interval must satisfy b > a")
-    return int(m), float(a), float(b)
+    a = float(a)
+    b = float(b)
+    if not -math.inf < a < b < math.inf:
+        raise ValueError(
+            "rule interval must be finite with a < b, got [%g, %g]" % (a, b))
+    return int(m), a, b
 
 
 def gauss_legendre(m, a, b):
@@ -141,15 +86,34 @@ def gauss_jacobi(m, p, q, a, b):
     """m-node rule for the normalised density C (tau-a)^p (b-tau)^q.
 
     Mapped to [-1, 1] this density is the classical weight
-    (1-x)^q (1+x)^p, which fixes the recurrence fed to the Golub-Welsch
-    matrix; the affine node map and the weight normalisation bring the
-    rule back to [a, b].
+    (1-x)^alpha (1+x)^beta with alpha = q and beta = p, whose monic
+    three-term recurrence fills the Golub-Welsch matrix; the affine node
+    map and the weight normalisation bring the rule back to [a, b].
     """
     m, a, b = _check_rule_args(m, a, b)
-    if p < 0 or q < 0:
-        raise ValueError("exponents must be nonnegative")
-    return _rule_from_recurrence(
-        jacobi_recurrence(m, float(q), float(p)), a, b)
+    beta = float(_checked_exponent(p, "p"))
+    alpha = float(_checked_exponent(q, "q"))
+    nu = alpha + beta
+    k = np.arange(1.0, m)
+    two = 2.0 * k + nu
+    # the general diagonal term is 0/0 at k = 0 for the Legendre weight,
+    # so the first entry takes its limit
+    diag = np.concatenate((
+        [(beta - alpha) / (nu + 2.0)],
+        (beta * beta - alpha * alpha) / (two * (two + 2.0))))
+    bsq = (4.0 * k * (k + alpha) * (k + beta) * (k + nu)
+           / (two * two * (two + 1.0) * (two - 1.0)))
+    off = np.sqrt(bsq)
+    lam, vecs = np.linalg.eigh(
+        np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    if np.any(np.diff(lam) <= 8.0 * _EPS):
+        raise RuntimeError(
+            "quadrature eigenvalues collided; recurrence data must be "
+            "inconsistent")
+    w = vecs[0] ** 2
+    return QuadratureRule(nodes=a + (b - a) * (lam + 1.0) / 2.0,
+                          weights=w / w.sum(), exactness=2 * m - 1,
+                          interval=(a, b))
 
 
 def apply(rule, f):

@@ -32,6 +32,15 @@ def _poly_eval(coeffs, tau):
     return acc
 
 
+def _check_interval(a, b):
+    a = float(a)
+    b = float(b)
+    if not 0.0 <= a < b < math.inf:
+        raise ValueError(
+            "interval must satisfy 0 <= a < b < inf, got [%g, %g]" % (a, b))
+    return a, b
+
+
 @dataclass(frozen=True)
 class PolynomialWeight:
     """Normalised polynomial density on [a, b].
@@ -39,7 +48,7 @@ class PolynomialWeight:
     Attributes
     ----------
     a, b : float
-        Interval bounds with 0 <= a < b.
+        Finite interval bounds with 0 <= a < b.
     coeffs : tuple of float
         Monomial coefficients alpha_0..alpha_n (density per unit time).
         The trailing coefficient must be nonzero.
@@ -59,15 +68,11 @@ class PolynomialWeight:
     coeffs: tuple
 
     def __post_init__(self):
-        a = float(self.a)
-        b = float(self.b)
+        a, b = _check_interval(self.a, self.b)
         coeffs = tuple(float(c) for c in self.coeffs)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "coeffs", coeffs)
-        if not b > a or not a >= 0.0:
-            raise ValueError(
-                "interval must satisfy b > a >= 0, got [%g, %g]" % (a, b))
         if not coeffs:
             raise ValueError("coefficient list must be nonempty")
         if coeffs[-1] == 0.0:
@@ -133,11 +138,7 @@ def beta_polynomial(a, b, p, q):
     """
     p = _checked_exponent(p, "p")
     q = _checked_exponent(q, "q")
-    a = float(a)
-    b = float(b)
-    if not b > a or not a >= 0.0:
-        raise ValueError(
-            "interval must satisfy b > a >= 0, got [%g, %g]" % (a, b))
+    a, b = _check_interval(a, b)
     if p + q > MAX_DEGREE:
         raise ValueError(
             "degree too large: p + q = %d exceeds %d" % (p + q, MAX_DEGREE))
@@ -157,7 +158,7 @@ def beta_polynomial(a, b, p, q):
 
 def evaluate(w, tau):
     """Density value sum_i alpha_i tau^i at a point tau of [a, b]."""
-    if tau < w.a or tau > w.b:
+    if not w.a <= tau <= w.b:
         raise ValueError(
             "tau = %g outside the support [%g, %g]" % (tau, w.a, w.b))
     return float(_poly_eval(w.coeffs, tau))

@@ -31,8 +31,6 @@ def test_config_validation_errors():
     with pytest.raises(cli.ConfigError):
         cli.ExperimentConfig(variant="spectral")
     with pytest.raises(cli.ConfigError):
-        cli.ExperimentConfig(variant="quadrature", m=0)
-    with pytest.raises(cli.ConfigError):
         cli.ExperimentConfig(samples=1)
     with pytest.raises(cli.ConfigError):
         cli.ExperimentConfig(t_end=0.0)
@@ -40,10 +38,6 @@ def test_config_validation_errors():
         cli.ExperimentConfig(t_end=math.inf)
     with pytest.raises(cli.ConfigError):
         cli.ExperimentConfig(rtol=1.0)
-    with pytest.raises(cli.ConfigError):
-        cli.ExperimentConfig(a=150.0, b=30.0)
-    with pytest.raises(cli.ConfigError):
-        cli.ExperimentConfig(sigma=-1.0)
 
 
 def test_parse_config_file(tmp_path):
@@ -246,7 +240,7 @@ def test_convergence_rejects_bad_m_lists(capsys):
     assert code == cli.EXIT_CONFIG
 
 
-def test_exit_code_config_errors(tmp_path, capsys):
+def test_exit_code_config_errors(tmp_path, capsys, monkeypatch):
     code, _, err = _run(["solve", "--preset", "case-iii"], capsys)
     assert code == cli.EXIT_CONFIG
     assert "config error" in err
@@ -267,6 +261,27 @@ def test_exit_code_config_errors(tmp_path, capsys):
                         capsys)
     assert code == cli.EXIT_CONFIG
     assert "finite" in err
+    # the library constructors own the interval, rate and node-count checks
+    for text in ("a = 150\nb = 30\n", "b = inf\n", "sigma = -1\n",
+                 "sigma = inf\n"):
+        bad.write_text(text)
+        code, _, err = _run(["solve", "--config", str(bad)], capsys)
+        assert code == cli.EXIT_CONFIG, text
+        assert "config error" in err
+    code, _, err = _run(["solve", "--preset", "case-i", "--variant",
+                         "quadrature", "--m", "0"], capsys)
+    assert code == cli.EXIT_CONFIG
+    assert "config error" in err
+
+    # every rule is built before the reference solve
+    def no_solve(dde, t_end, opts):
+        raise AssertionError("solve reached with a bad node count")
+
+    monkeypatch.setattr(cli, "solve", no_solve)
+    code, _, err = _run(["convergence", "--preset", "case-i", "--m", "0,3"],
+                        capsys)
+    assert code == cli.EXIT_CONFIG
+    assert "config error" in err
 
 
 def test_exit_code_solver_failure(capsys, monkeypatch):

@@ -182,6 +182,10 @@ def test_dde_validation():
     with pytest.raises(ValueError):
         pdl.DiscreteDelayDde(dimension=1, delays=(1.0, 1.0), rhs=rhs,
                              history=hist)
+    for delays in ((math.nan,), (1.0, math.inf), (math.nan, 1.0)):
+        with pytest.raises(ValueError, match="finite"):
+            pdl.DiscreteDelayDde(dimension=1, delays=delays, rhs=rhs,
+                                 history=hist)
 
 
 def test_solver_options_bounds():

@@ -1,5 +1,7 @@
 """Delayed SIR model assembly, conservation, and equilibria."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,15 @@ def test_parameter_validation():
     with pytest.raises(ValueError):
         pdl.SirParameters(sigma=0.1, theta=0.05, weight=w,
                           y0=(0.99, 0.01))
+    # nan fails every comparison and inf passes a positivity test
+    for sigma, theta in ((math.inf, 0.05), (math.nan, 0.05),
+                         (0.1, math.inf), (0.1, math.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            pdl.SirParameters(sigma=sigma, theta=theta, weight=w,
+                              y0=(0.99, 0.01, 0.0))
+    for y0 in ((math.nan, 0.5, 0.5), (math.inf, 0.0, 0.0)):
+        with pytest.raises(ValueError, match="finite"):
+            pdl.SirParameters(sigma=0.1, theta=0.05, weight=w, y0=y0)
 
 
 def test_auxiliary_chain_initial_values(case_i_params, case_ii_params):

@@ -74,6 +74,10 @@ def test_rule_invariants(m):
     assert rule.nodes[0] > a and rule.nodes[-1] < b
     assert np.all(rule.weights > 0)
     assert float(rule.weights.sum()) == pytest.approx(1.0, abs=1e-12)
+    # the Legendre recurrence has a zero diagonal, so its nodes on
+    # [-1, 1] are symmetric about the origin
+    legendre = pdl.gauss_legendre(m, -1, 1)
+    assert legendre.nodes == pytest.approx(-legendre.nodes[::-1], abs=1e-15)
 
 
 def test_apply_normalisation():
@@ -103,18 +107,26 @@ def test_rule_argument_validation():
         pdl.gauss_legendre(True, 0, 1)
     with pytest.raises(ValueError):
         pdl.gauss_jacobi(2, -1, 0, 0, 1)
-
-
-def test_recurrence_legendre_diagonal_vanishes():
-    rec = pdl.jacobi_recurrence(6, 0.0, 0.0)
-    assert np.max(np.abs(rec.diag)) == 0.0
-    assert np.all(rec.offdiag > 0)
-    assert rec.mu0 == pytest.approx(2.0, rel=1e-15)
-
-
-def test_recurrence_rejects_empty_request():
     with pytest.raises(ValueError):
-        pdl.jacobi_recurrence(0, 0.0, 0.0)
+        pdl.gauss_jacobi(0, 2, 2, 30, 150)
+    with pytest.raises(TypeError):
+        pdl.gauss_jacobi(2, math.nan, 2, 30, 150)
+    with pytest.raises(TypeError):
+        pdl.gauss_jacobi(2, 2, 0.5, 30, 150)
+    for a, b in ((30, math.inf), (-math.inf, 150), (math.nan, 150)):
+        with pytest.raises(ValueError):
+            pdl.gauss_jacobi(2, 2, 2, a, b)
+
+
+def test_rule_rejects_nonfinite_nodes_and_weights():
+    # nan compares false, so it would slip past the ordering checks
+    with pytest.raises(ValueError, match="finite"):
+        pdl.QuadratureRule(nodes=[0.25, math.nan, 0.75],
+                           weights=[0.25, 0.5, 0.25], exactness=5,
+                           interval=(0.0, 1.0))
+    with pytest.raises(ValueError, match="finite"):
+        pdl.QuadratureRule(nodes=[0.25, 0.75], weights=[math.nan, 0.5],
+                           exactness=3, interval=(0.0, 1.0))
 
 
 def test_quadrature_dde_single_node_sits_at_mean(case_i_params):

@@ -58,6 +58,8 @@ def test_evaluate_rejects_points_outside_support():
         pdl.evaluate(w, -0.1)
     with pytest.raises(ValueError):
         pdl.evaluate(w, 1.1)
+    with pytest.raises(ValueError):
+        pdl.evaluate(w, float("nan"))
 
 
 def test_moment_uniform_mean():
@@ -115,6 +117,13 @@ def test_weight_rejects_bad_interval():
         pdl.PolynomialWeight(a=1.0, b=1.0, coeffs=(1.0,))
     with pytest.raises(ValueError):
         pdl.PolynomialWeight(a=-1.0, b=1.0, coeffs=(0.5,))
+    with pytest.raises(ValueError):
+        pdl.PolynomialWeight(a=0.0, b=float("inf"), coeffs=(0.0, 1.0))
+    # an infinite bound is refused before the exact rational expansion
+    with pytest.raises(ValueError, match="interval"):
+        pdl.beta_polynomial(30.0, float("inf"), 2, 2)
+    with pytest.raises(ValueError, match="interval"):
+        pdl.beta_polynomial(float("nan"), 150.0, 2, 2)
 
 
 def test_weight_rejects_trailing_zero_coefficient():
