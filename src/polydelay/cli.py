@@ -34,7 +34,6 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_NUMERICAL = 4
 
-_MODELS = ("sir", "scalar-benchmark")
 _VARIANTS = ("equivalent", "quadrature")
 
 
@@ -44,9 +43,12 @@ class ConfigError(Exception):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Complete description of one experiment run."""
+    """Complete description of one experiment run.
 
-    model: str = "sir"
+    The experiment is the delayed SIR model, integrated in the scaled time
+    t/b where the largest delay is 1; h_max is in that time, t_end in
+    days. The defaults are case i."""
+
     variant: str = "equivalent"
     sigma: float = 0.1
     theta: float = 0.05
@@ -60,11 +62,8 @@ class ExperimentConfig:
     h_max: float = 1e-3
     t_end: float = 1000.0
     samples: int = 1000
-    scale: bool = True
 
     def __post_init__(self):
-        if self.model not in _MODELS:
-            raise ConfigError("model must be one of %s" % (_MODELS,))
         if self.variant not in _VARIANTS:
             raise ConfigError("variant must be one of %s" % (_VARIANTS,))
         if not 0.0 < self.t_end < np.inf:
@@ -81,35 +80,14 @@ class ExperimentConfig:
 # density C (tau-a)^p (b-tau)^q with exponents p = q = 2, i.e.
 # 30 (tau-a)^2 (b-tau)^2 / (b-a)^5 (Beta(3,3) in the usual shape
 # parametrisation), rates sigma = 0.1 and theta = 0.05, horizon 1000
-# sampled at 1000 points, solved in rescaled time with rtol 1e-6 and
-# atol 1e-8. They differ in the delay interval and the reference maximum
-# step size.
+# sampled at 1000 points, rtol 1e-6 and atol 1e-8. They differ in the
+# delay interval and the reference maximum step size.
 PRESETS = {
-    "case-i": ExperimentConfig(
-        model="sir", variant="equivalent", sigma=0.1, theta=0.05,
-        a=30.0, b=150.0, p=2, q=2, m=4, rtol=1e-6, atol=1e-8,
-        h_max=1e-3, t_end=1000.0, samples=1000, scale=True),
-    "case-ii": ExperimentConfig(
-        model="sir", variant="equivalent", sigma=0.1, theta=0.05,
-        a=150.0, b=250.0, p=2, q=2, m=4, rtol=1e-6, atol=1e-8,
-        h_max=5e-4, t_end=1000.0, samples=1000, scale=True),
+    "case-i": ExperimentConfig(),
+    "case-ii": ExperimentConfig(a=150.0, b=250.0, h_max=5e-4),
 }
 
 _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
-
-_TRUE_WORDS = ("1", "true", "yes", "on")
-_FALSE_WORDS = ("0", "false", "no", "off")
-
-
-def _parse_value(kind, text):
-    if kind is bool:
-        low = text.lower()
-        if low in _TRUE_WORDS:
-            return True
-        if low in _FALSE_WORDS:
-            return False
-        raise ValueError("not a boolean")
-    return kind(text)
 
 
 def parse_config_file(path):
@@ -138,7 +116,7 @@ def parse_config_file(path):
                 raise ConfigError(
                     "%s, line %d: unknown key %r" % (path, lineno, key))
             try:
-                overrides[key] = _parse_value(_FIELD_TYPES[key], value)
+                overrides[key] = _FIELD_TYPES[key](value)
             except ValueError:
                 raise ConfigError(
                     "%s, line %d: invalid %s value %r"
@@ -179,21 +157,6 @@ def _config_values():
         raise ConfigError(str(exc)) from exc
 
 
-def _scalar_benchmark_dde():
-    # y'(t) = -y(t - 1) with unit constant history; the classical exactly
-    # solvable single-delay test problem
-    from .ddesolver import DiscreteDelayDde
-
-    def rhs(t, y, Z):
-        return -Z[:, 0]
-
-    def hist(t):
-        return np.array([1.0])
-
-    return DiscreteDelayDde(dimension=1, delays=(1.0,), rhs=rhs,
-                            history=hist)
-
-
 def _sir_params(config):
     with _config_values():
         weight = beta_polynomial(config.a, config.b, config.p, config.q)
@@ -209,14 +172,9 @@ def _quadrature_dde(config, base, m):
 
 
 def _sir_base(config):
-    base = sir_distributed(_sir_params(config))
-    tfac = 1.0
-    t_end = config.t_end
-    if config.scale:
-        tfac = config.b
-        base = scale_distributed(base)
-        t_end = config.t_end / config.b
-    return base, t_end, tfac
+    # the scaled model and horizon: time t/b, where the largest delay is 1
+    base = scale_distributed(sir_distributed(_sir_params(config)))
+    return base, config.t_end / config.b
 
 
 def run_solve(config):
@@ -225,22 +183,18 @@ def run_solve(config):
     Returns (header, rows, info): CSV header names, a (samples, 1 + dim)
     array whose first column is the time rescaled back to original time,
     and a dict with the step counters."""
-    if config.model == "scalar-benchmark":
-        dde, t_end, tfac = _scalar_benchmark_dde(), config.t_end, 1.0
-        header = ["t", "y"]
+    base, t_end = _sir_base(config)
+    if config.variant == "equivalent":
+        system = build_equivalent(base)
+        dde = system.assembled
+        aux_names = ["x%d" % i for i in range(system.degree + 1)]
     else:
-        base, t_end, tfac = _sir_base(config)
-        if config.variant == "equivalent":
-            system = build_equivalent(base)
-            dde = system.assembled
-            aux_names = ["x%d" % i for i in range(system.degree + 1)]
-        else:
-            dde = _quadrature_dde(config, base, config.m)
-            aux_names = []
-        header = ["t", "S", "I", "R"] + aux_names
+        dde = _quadrature_dde(config, base, config.m)
+        aux_names = []
+    header = ["t", "S", "I", "R"] + aux_names
     traj = solve(dde, t_end, _solver_options(config))
     ts, states = sample(traj, config.samples)
-    rows = np.column_stack((ts * tfac, states))
+    rows = np.column_stack((ts * config.b, states))
     return header, rows, {"steps_taken": traj.steps_taken,
                           "steps_rejected": traj.steps_rejected}
 
@@ -264,14 +218,12 @@ def run_convergence(config, m_list):
     The reference is the equivalent system integrated with the config's
     tolerances and h_max; differences are taken componentwise on a
     samples-point equidistant grid."""
-    if config.model != "sir":
-        raise ConfigError("the convergence study requires the sir model")
     if not m_list:
         raise ConfigError("need at least one node count")
     if list(m_list) != sorted(set(int(m) for m in m_list)):
         raise ConfigError("node counts must be ascending and distinct")
     opts = _solver_options(config)
-    base, t_end, _ = _sir_base(config)
+    base, t_end = _sir_base(config)
     # every rule is built before the first solve, so a bad node count
     # fails at once
     quads = [_quadrature_dde(config, base, m) for m in m_list]
@@ -315,8 +267,6 @@ def run_quad_table(config, m):
 
 def run_stationary(config):
     """Equilibria of the configured model as printable lines."""
-    if config.model != "sir":
-        raise ConfigError("stationary points are defined for the sir model")
     lines = []
     names = ("disease-free", "endemic")
     for name, point in zip(names, sir_equilibrium(_sir_params(config))):

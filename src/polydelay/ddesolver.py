@@ -86,8 +86,8 @@ class SolverOptions:
     def __post_init__(self):
         if not 1e-13 <= self.rtol <= 1e-1:
             raise ValueError("rtol must lie in [1e-13, 1e-1]")
-        if not self.atol > 0.0:
-            raise ValueError("atol must be positive")
+        if not 0.0 < self.atol < math.inf:
+            raise ValueError("atol must be positive and finite")
         if not self.h_max > 0.0:
             raise ValueError("h_max must be positive")
         if self.h_init is not None and not self.h_init > 0.0:
@@ -179,13 +179,19 @@ def solve(dde, t_end, opts=None):
     discontinuities never sit inside a step.
 
     Returns a Trajectory. Raises SolverError when the step budget is
-    exhausted, the step size underflows, or the rhs returns non-finite
-    values.
+    exhausted (before the first step when t_end exceeds max_steps * h_max),
+    the step size underflows, or the rhs returns non-finite values.
     """
     if opts is None:
         opts = SolverOptions()
     if not 0.0 < t_end < math.inf:
         raise ValueError("t_end must be positive and finite")
+    # no attempt advances more than h_max; the margin keeps a horizon that
+    # fits the budget exactly from being rejected for rounding
+    if t_end > opts.h_max * opts.max_steps * (1.0 + 1e-6):
+        raise SolverError(
+            "step budget of %d cannot reach t = %g with h_max = %g"
+            % (opts.max_steps, t_end, opts.h_max))
     d = dde.dimension
     delays = np.array(dde.delays)
     tau_min, tau_max = ((dde.delays[0], dde.delays[-1]) if dde.delays

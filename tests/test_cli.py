@@ -1,5 +1,6 @@
 """Command-line front end: config assembly, CSV contract, exit codes."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,11 +11,9 @@ from polydelay import cli
 
 def test_defaults_are_case_i_values():
     config = cli.ExperimentConfig()
-    assert config.model == "sir"
     assert config.variant == "equivalent"
     assert (config.a, config.b) == (30.0, 150.0)
     assert config.h_max == 1e-3
-    assert config.scale is True
 
 
 def test_presets_differ_in_interval_and_step_cap():
@@ -23,11 +22,13 @@ def test_presets_differ_in_interval_and_step_cap():
     assert (one.a, one.b) == (30.0, 150.0)
     assert (two.a, two.b) == (150.0, 250.0)
     assert two.h_max == 5e-4
+    assert one == cli.ExperimentConfig()
+    differing = {f.name for f in dataclasses.fields(one)
+                 if getattr(one, f.name) != getattr(two, f.name)}
+    assert differing == {"a", "b", "h_max"}
 
 
 def test_config_validation_errors():
-    with pytest.raises(cli.ConfigError):
-        cli.ExperimentConfig(model="sis")
     with pytest.raises(cli.ConfigError):
         cli.ExperimentConfig(variant="spectral")
     with pytest.raises(cli.ConfigError):
@@ -47,11 +48,9 @@ def test_parse_config_file(tmp_path):
         "\n"
         "t_end = 88  # trailing comment\n"
         "variant=quadrature\n"
-        "m=6\n"
-        "scale = off\n")
+        "m=6\n")
     overrides = cli.parse_config_file(str(path))
-    assert overrides == {"t_end": 88.0, "variant": "quadrature",
-                         "m": 6, "scale": False}
+    assert overrides == {"t_end": 88.0, "variant": "quadrature", "m": 6}
 
 
 def test_parse_config_file_reports_line_numbers(tmp_path):
@@ -91,22 +90,8 @@ def _run(args, capsys):
     return code, captured.out, captured.err
 
 
-def test_solve_benchmark_csv(tmp_path, capsys):
-    cfg = tmp_path / "bench.cfg"
-    cfg.write_text("model=scalar-benchmark\nt_end=4\nsamples=9\n")
-    code, out, err = _run(["solve", "--config", str(cfg)], capsys)
-    assert code == 0
-    lines = out.strip().split("\n")
-    assert lines[0] == "t,y"
-    assert len(lines) == 10
-    rows = {float(line.split(",")[0]): float(line.split(",")[1])
-            for line in lines[1:]}
-    assert rows[2.0] == pytest.approx(-0.5, abs=1e-5)
-    assert "steps taken" in err
-
-
 def test_solve_case_i_csv_columns(capsys):
-    code, out, _ = _run(["solve", "--preset", "case-i", "--t-end", "50",
+    code, out, err = _run(["solve", "--preset", "case-i", "--t-end", "50",
                          "--samples", "20"], capsys)
     assert code == 0
     lines = out.strip().split("\n")
@@ -117,6 +102,7 @@ def test_solve_case_i_csv_columns(capsys):
     assert first[0] == 0.0
     assert last[0] == pytest.approx(50.0, rel=1e-12)
     assert first[1:4] == pytest.approx([0.99, 0.01, 0.0], abs=1e-12)
+    assert "steps taken" in err
 
 
 def test_solve_quadrature_variant_columns(capsys):
@@ -261,6 +247,16 @@ def test_exit_code_config_errors(tmp_path, capsys, monkeypatch):
                         capsys)
     assert code == cli.EXIT_CONFIG
     assert "finite" in err
+    code, _, err = _run(["solve", "--preset", "case-i", "--atol", "inf"],
+                        capsys)
+    assert code == cli.EXIT_CONFIG
+    assert "finite" in err
+    # the experiment is always the SIR model in scaled time
+    for text in ("scale = false\n", "model = scalar-benchmark\n"):
+        bad.write_text(text)
+        code, _, err = _run(["solve", "--config", str(bad)], capsys)
+        assert code == cli.EXIT_CONFIG, text
+        assert "unknown key" in err
     # the library constructors own the interval, rate and node-count checks
     for text in ("a = 150\nb = 30\n", "b = inf\n", "sigma = -1\n",
                  "sigma = inf\n"):
@@ -285,6 +281,12 @@ def test_exit_code_config_errors(tmp_path, capsys, monkeypatch):
 
 
 def test_exit_code_solver_failure(capsys, monkeypatch):
+    # t/b = 6.67 in steps of at most 1e-6 needs 6.7e6 steps: refused
+    # before the first step
+    code, _, err = _run(["solve", "--preset", "case-i", "--hmax", "1e-6"],
+                        capsys)
+    assert code == cli.EXIT_SOLVER
+    assert "cannot reach" in err
     monkeypatch.setattr(cli, "MAX_STEPS", 10)
     code, _, err = _run(["solve", "--preset", "case-i"], capsys)
     assert code == cli.EXIT_SOLVER

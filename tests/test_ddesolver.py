@@ -195,6 +195,9 @@ def test_solver_options_bounds():
         pdl.SolverOptions(rtol=0.2)
     with pytest.raises(ValueError):
         pdl.SolverOptions(atol=0.0)
+    # an infinite atol would switch error control off
+    with pytest.raises(ValueError, match="finite"):
+        pdl.SolverOptions(atol=math.inf)
     with pytest.raises(ValueError):
         pdl.SolverOptions(h_max=0.0)
     with pytest.raises(ValueError):
@@ -262,6 +265,24 @@ def test_step_budget_enforced():
     opts = pdl.SolverOptions(max_steps=3)
     with pytest.raises(pdl.SolverError):
         pdl.solve(_benchmark(), 4.0, opts)
+
+    # a horizon beyond max_steps * h_max fails before the first rhs call;
+    # one that fits exactly (eight steps of 0.5 to t = 4) is solved
+    calls = []
+
+    def rhs(t, y, Z):
+        calls.append(t)
+        return np.zeros(1)
+
+    dde = pdl.DiscreteDelayDde(dimension=1, delays=(1.0,), rhs=rhs,
+                               history=lambda t: np.array([1.0]))
+    with pytest.raises(pdl.SolverError, match="cannot reach"):
+        pdl.solve(dde, 4.0, pdl.SolverOptions(h_max=0.5, h_init=0.5,
+                                              max_steps=7))
+    assert calls == []
+    traj = pdl.solve(dde, 4.0, pdl.SolverOptions(h_max=0.5, h_init=0.5,
+                                                 max_steps=8))
+    assert traj.steps_taken == 8
 
 
 def test_nonfinite_rhs_mid_run_raises_solver_error():
