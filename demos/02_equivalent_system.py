@@ -21,7 +21,8 @@ weight = pdl.beta_polynomial(30, 150, 2, 2)
 params = pdl.SirParameters(sigma=0.1, theta=0.05, weight=weight,
                            y0=(0.99, 0.01, 0.0))
 
-system = pdl.sir_equivalent(params)
+sir = pdl.sir_distributed(params)
+system = pdl.build_equivalent(sir)
 print("base model dimension 3, density degree %d" % system.degree)
 print("equivalent system dimension %d with delays %s"
       % (system.assembled.dimension, system.assembled.delays))
@@ -30,7 +31,8 @@ print("auxiliary start values x_i(0):",
 
 print()
 print("solving in rescaled time (delays become {0.2, 1})...")
-scaled = pdl.scale_system(system)
+base = pdl.scale_distributed(sir)
+scaled = pdl.build_equivalent(base)
 opts = pdl.SolverOptions(rtol=1e-6, atol=1e-8, h_max=1e-3)
 traj = pdl.solve(scaled.assembled, 20.0 / 3.0, opts)
 print("%d accepted steps, %d rejected"
@@ -39,7 +41,7 @@ print("%d accepted steps, %d rejected"
 print()
 print("exactness check: auxiliary states vs direct quadrature of the")
 print("dense output (32-node rule), at five times:")
-wa, wb = scaled.base.weight.a, scaled.base.weight.b
+wa, wb = base.weight.a, base.weight.b
 rule = pdl.gauss_legendre(32, wa, wb)
 span = wb - wa
 for tc in np.linspace(1.5, 20.0 / 3.0, 5):
@@ -58,8 +60,7 @@ for point in pdl.sir_equilibrium(params):
     print("  y* = (%.3f, %.3f, %.3f), x*_0 = %.4g"
           % (point.y_star[0], point.y_star[1], point.y_star[2],
              point.x_star[0]))
-found = pdl.find_stationary(pdl.sir_distributed(params),
-                            np.array([0.6, 0.2, 0.2]))
+found = pdl.find_stationary(sir, np.array([0.6, 0.2, 0.2]))
 print("Newton search from (0.6, 0.2, 0.2) lands on y* = (%.6f, %.6f, %.6f);"
       % tuple(found.y_star))
 print("the endemic equilibria form a family (S* fixed at theta/sigma, I*")

@@ -22,16 +22,14 @@ except ImportError:
 config = cli.assemble_config("case-i")
 m_values = list(range(1, 9))
 print("case (i), reference = equivalent system, rtol 1e-6, atol 1e-8")
-report = cli.run_convergence(config, m_values)
-print("reference solve: %d steps" % report.reference_steps)
+diffs, reference_steps = cli.run_convergence(config, m_values)
+print("reference solve: %d steps" % reference_steps)
 print()
 print("  m   max|dS|      max|dI|      max|dR|")
-for k, m in enumerate(report.m_values):
-    print("  %d   %.5e  %.5e  %.5e"
-          % (m, report.diffs["S"][k], report.diffs["I"][k],
-             report.diffs["R"][k]))
+for m, (ds_m, di_m, dr_m) in zip(m_values, diffs):
+    print("  %d   %.5e  %.5e  %.5e" % (m, ds_m, di_m, dr_m))
 
-ds = report.diffs["S"]
+ds = diffs[:, 0]
 print()
 print("S difference shrinks %.0fx from m=1 to m=6, then the decay"
       % (ds[0] / ds[5]))
@@ -39,9 +37,8 @@ print("slows towards the integration-error floor.")
 
 if plt is not None:
     fig, ax = plt.subplots(figsize=(7, 4.5))
-    for name, marker in (("S", "o"), ("I", "s"), ("R", "^")):
-        ax.semilogy(report.m_values, report.diffs[name], marker=marker,
-                    label=name)
+    for k, (name, marker) in enumerate((("S", "o"), ("I", "s"), ("R", "^"))):
+        ax.semilogy(m_values, diffs[:, k], marker=marker, label=name)
     ax.set_xlabel("quadrature nodes m")
     ax.set_ylabel("max difference vs equivalent system")
     ax.legend()

@@ -13,14 +13,13 @@ method of steps.
 from .ddesolver import (DiscreteDelayDde, SolverError, SolverOptions,
                         Trajectory, dense_eval, sample, solve)
 from .models import (SirParameters, sir_conserved, sir_distributed,
-                     sir_equilibrium, sir_equivalent)
+                     sir_equilibrium)
 from .quadrature import (QuadratureRule, apply, build_quadrature_dde,
                          gauss_jacobi, gauss_legendre)
 from .transform import (DistributedDelayDde, EquivalentSystem,
                         StationaryPoint, aux_initial_values, build_equivalent,
                         find_stationary, nilpotent_exponential,
-                        scale_distributed, scale_system, stationary_aux,
-                        structure_matrix)
+                        scale_distributed, stationary_aux, structure_matrix)
 from .weightfn import (MAX_DEGREE, PolynomialWeight, beta_polynomial,
                        evaluate, moment, rescale_to_unit)
 
@@ -30,13 +29,12 @@ __all__ = [
     "DiscreteDelayDde", "SolverError", "SolverOptions", "Trajectory",
     "dense_eval", "sample", "solve",
     "SirParameters", "sir_conserved", "sir_distributed", "sir_equilibrium",
-    "sir_equivalent",
     "QuadratureRule", "apply", "build_quadrature_dde", "gauss_jacobi",
     "gauss_legendre",
     "DistributedDelayDde", "EquivalentSystem", "StationaryPoint",
     "aux_initial_values", "build_equivalent",
     "find_stationary", "nilpotent_exponential", "scale_distributed",
-    "scale_system", "stationary_aux", "structure_matrix",
+    "stationary_aux", "structure_matrix",
     "MAX_DEGREE", "PolynomialWeight", "beta_polynomial", "evaluate",
     "moment", "rescale_to_unit",
     "__version__",

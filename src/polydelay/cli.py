@@ -199,25 +199,13 @@ def run_solve(config):
                           "steps_rejected": traj.steps_rejected}
 
 
-@dataclass
-class ConvergenceReport:
-    """Maximum quadrature-vs-equivalent differences per node count.
-
-    diffs maps each model component name to the list of maximum absolute
-    differences over the shared sample grid, ordered like m_values."""
-
-    m_values: list
-    diffs: dict
-    grid_size: int
-    reference_steps: int
-
-
 def run_convergence(config, m_list):
     """Compare quadrature solves for each m against one reference solve.
 
     The reference is the equivalent system integrated with the config's
-    tolerances and h_max; differences are taken componentwise on a
-    samples-point equidistant grid."""
+    tolerances and h_max. Returns (diffs, reference_steps): diffs is a
+    (len(m_list), 3) array of the maximum absolute S, I, R differences on
+    a samples-point equidistant grid."""
     if not m_list:
         raise ConfigError("need at least one node count")
     if list(m_list) != sorted(set(int(m) for m in m_list)):
@@ -237,12 +225,7 @@ def run_convergence(config, m_list):
         return np.max(np.abs(dense_eval(traj, grid)[:, :3] - ref_vals),
                       axis=0)
 
-    results = [one_m(dde) for dde in quads]
-    diffs = {name: [float(r[k]) for r in results]
-             for k, name in enumerate(("S", "I", "R"))}
-    return ConvergenceReport(m_values=list(m_list), diffs=diffs,
-                             grid_size=config.samples,
-                             reference_steps=ref.steps_taken)
+    return np.array([one_m(dde) for dde in quads]), ref.steps_taken
 
 
 def run_quad_table(config, m):
@@ -288,12 +271,17 @@ def _fmt(value):
 @contextmanager
 def _output(path):
     # path None is standard output; a path is opened here so numpy never
-    # picks a compressed format from its suffix
+    # picks a compressed format from its suffix, and only once there is
+    # output, so a failed run leaves an existing file untouched
     if path is None:
         yield sys.stdout
-    else:
-        with open(path, "w") as fh:
-            yield fh
+        return
+    try:
+        fh = open(path, "w")
+    except OSError as exc:
+        raise ConfigError("cannot write %s: %s" % (path, exc))
+    with fh:
+        yield fh
 
 
 def write_csv(header, rows, path=None):
@@ -383,15 +371,11 @@ def main(argv=None):
                   % (info["steps_taken"], info["steps_rejected"]),
                   file=sys.stderr)
         elif args.command == "convergence":
-            report = run_convergence(config, m_flag)
-            header = ["m", "dS", "dI", "dR"]
-            rows = [[m, report.diffs["S"][k], report.diffs["I"][k],
-                     report.diffs["R"][k]]
-                    for k, m in enumerate(report.m_values)]
-            write_csv(header, rows, args.out)
+            diffs, reference_steps = run_convergence(config, m_flag)
+            write_csv(["m", "dS", "dI", "dR"],
+                      np.column_stack((m_flag, diffs)), args.out)
             print("reference solve: %d steps, grid %d points"
-                  % (report.reference_steps, report.grid_size),
-                  file=sys.stderr)
+                  % (reference_steps, config.samples), file=sys.stderr)
         elif args.command == "quad":
             _emit_lines(run_quad_table(config, config.m), args.out)
         elif args.command == "stationary":
@@ -400,7 +384,8 @@ def main(argv=None):
         print("config error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG
     except SolverError as exc:
-        print("solver failure: %s" % exc, file=sys.stderr)
+        print("solver failure: %s (solver time is t/b, b = %s days)"
+              % (exc, _fmt(config.b)), file=sys.stderr)
         return EXIT_SOLVER
     except (ValueError, RuntimeError, ArithmeticError) as exc:
         print("internal numerical error: %s" % exc, file=sys.stderr)

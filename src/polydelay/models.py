@@ -19,8 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ddesolver import sample
-from .transform import (DistributedDelayDde, StationaryPoint,
-                        build_equivalent, stationary_aux)
+from .transform import DistributedDelayDde, StationaryPoint, stationary_aux
 from .weightfn import PolynomialWeight
 
 
@@ -72,15 +71,6 @@ def sir_distributed(params):
     return DistributedDelayDde(dimension=3, rhs=rhs, weight=params.weight,
                                delayed_components=frozenset({1}),
                                history=hist)
-
-
-def sir_equivalent(params):
-    """Equivalent two-delay system of the delayed SIR model.
-
-    For a degree-4 density this is the 8-dimensional system: S, I, R plus
-    the auxiliary chain x_0..x_4 of I.
-    """
-    return build_equivalent(sir_distributed(params))
 
 
 def sir_conserved(traj, k=1000):

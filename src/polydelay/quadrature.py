@@ -54,16 +54,6 @@ class QuadratureRule:
             raise ValueError("weights must sum to one")
 
 
-def check_rule_interval(rule, a, b):
-    """Raise ValueError unless the rule targets [a, b] to 1e-12 relative."""
-    ra, rb = rule.interval
-    if (abs(ra - a) > 1e-12 * max(1.0, abs(a))
-            or abs(rb - b) > 1e-12 * max(1.0, abs(b))):
-        raise ValueError(
-            "rule interval [%g, %g] does not match the weight support "
-            "[%g, %g]" % (ra, rb, a, b))
-
-
 def _check_rule_args(m, a, b):
     if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
         raise TypeError("node count m must be an integer")
@@ -129,7 +119,13 @@ def build_quadrature_dde(dde, rule):
     and the dimension unchanged. The rule must target the weight's
     support interval.
     """
-    check_rule_interval(rule, dde.weight.a, dde.weight.b)
+    a, b = dde.weight.a, dde.weight.b
+    ra, rb = rule.interval
+    if (abs(ra - a) > 1e-12 * max(1.0, abs(a))
+            or abs(rb - b) > 1e-12 * max(1.0, abs(b))):
+        raise ValueError(
+            "rule interval [%g, %g] does not match the weight support "
+            "[%g, %g]" % (ra, rb, a, b))
     comps = sorted(dde.delayed_components)
     weights = rule.weights
     base_rhs = dde.rhs

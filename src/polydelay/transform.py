@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ddesolver import DiscreteDelayDde
-from .quadrature import check_rule_interval, gauss_legendre
+from .quadrature import gauss_legendre
 from .weightfn import PolynomialWeight, rescale_to_unit
 
 
@@ -56,15 +56,11 @@ class EquivalentSystem:
 
     State layout of `assembled`: the d base components first, then for
     each delayed component (ascending index) its auxiliary chain
-    x_0..x_n. delays is the conceptual pair (a, b); when a = 0 the
-    assembled DDE carries the single true delay b and the a-terms read
-    the current state instead.
+    x_0..x_n of the degree-n weight. The assembled delays are (a, b), or
+    just (b,) when a = 0: the a-terms then read the current state.
     """
 
-    base: DistributedDelayDde
     degree: int
-    aux_count: int
-    delays: tuple
     assembled: DiscreteDelayDde
 
 
@@ -78,17 +74,17 @@ class StationaryPoint:
     x_star: np.ndarray
 
 
-def aux_initial_values(history, weight, rule):
+def aux_initial_values(history, weight):
     """Initial auxiliary values x_i(0) = integral_a^b history(-tau) tau^i dtau.
 
     history is scalar-valued on [-b, 0]. The integral is evaluated with
-    the supplied plain Gauss-Legendre rule; its weights are
+    a 32-node Gauss-Legendre rule on [a, b]; its weights are
     probability-normalised, so the interval length multiplies the sum.
     When every sampled history value equals history(0) the constant
     closed form y0 (b^{i+1} - a^{i+1}) / (i+1) is used instead.
     """
     a, b = weight.a, weight.b
-    check_rule_interval(rule, a, b)
+    rule = gauss_legendre(32, a, b)
     h0 = float(history(0.0))
     hv = np.array([float(history(-tau)) for tau in rule.nodes])
     if np.all(hv == h0):
@@ -106,20 +102,17 @@ def stationary_aux(y_star_component, weight):
 def build_equivalent(dde):
     """Assemble the equivalent two-delay system of a distributed-delay DDE.
 
-    The auxiliary chains start from the history through a 32-node
-    Gauss-Legendre rule on [a, b] (constant histories use the closed
-    form). The assembled DDE has dimension d + (n+1) * #delayed and
+    The auxiliary chains start from aux_initial_values of the history.
+    The assembled DDE has dimension d + (n+1) * #delayed and
     delays {a, b}, or just {b} when a = 0 since a zero lag is the current
     state.
     """
     w = dde.weight
     a, b = w.a, w.b
     n = w.degree
-    rule = gauss_legendre(32, a, b)
     d = dde.dimension
     comps = sorted(dde.delayed_components)
-    aux_count = (n + 1) * len(comps)
-    dim = d + aux_count
+    dim = d + (n + 1) * len(comps)
     alpha = np.array(w.coeffs)
     apow = a ** np.arange(n + 1)
     bpow = b ** np.arange(n + 1)
@@ -153,7 +146,7 @@ def build_equivalent(dde):
 
     x0_full = np.concatenate([
         aux_initial_values(
-            lambda s, c=c: np.asarray(base_hist(s), dtype=float)[c], w, rule)
+            lambda s, c=c: np.asarray(base_hist(s), dtype=float)[c], w)
         for c in comps])
 
     def hist(t):
@@ -167,8 +160,7 @@ def build_equivalent(dde):
     assembled = DiscreteDelayDde(
         dimension=dim, delays=(b,) if degenerate else (a, b),
         rhs=rhs, history=hist)
-    return EquivalentSystem(base=dde, degree=n, aux_count=aux_count,
-                            delays=(a, b), assembled=assembled)
+    return EquivalentSystem(degree=n, assembled=assembled)
 
 
 def scale_distributed(dde):
@@ -192,17 +184,6 @@ def scale_distributed(dde):
     return DistributedDelayDde(
         dimension=dde.dimension, rhs=rhs, weight=rescale_to_unit(dde.weight),
         delayed_components=dde.delayed_components, history=hist)
-
-
-def scale_system(sys):
-    """Rescale an equivalent system so the maximum delay is one.
-
-    Base right-hand sides are multiplied by b, the delays become
-    {a/b, 1}, and the auxiliary chains (coupling terms included) are
-    regenerated from the rescaled weight, so the base components satisfy
-    y_scaled(t / b) = y(t).
-    """
-    return build_equivalent(scale_distributed(sys.base))
 
 
 def structure_matrix(n):
@@ -230,7 +211,11 @@ def nilpotent_exponential(A, t):
     return out
 
 
-def find_stationary(dde, guess, tol=1e-12, max_iter=50):
+_NEWTON_TOL = 1e-12
+_NEWTON_MAX_ITER = 50
+
+
+def find_stationary(dde, guess):
     """Damped Newton iteration for stationary points f(y*, y*) = 0.
 
     In a stationary state the distributed integral of a delayed component
@@ -252,9 +237,9 @@ def find_stationary(dde, guess, tol=1e-12, max_iter=50):
 
     y = np.asarray(guess, dtype=float).copy()
     r = resid(y)
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_MAX_ITER):
         rnorm = float(np.max(np.abs(r)))
-        if rnorm <= tol:
+        if rnorm <= _NEWTON_TOL:
             break
         J = np.empty((d, d))
         for j in range(d):

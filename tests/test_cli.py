@@ -268,6 +268,17 @@ def test_exit_code_config_errors(tmp_path, capsys, monkeypatch):
                          "quadrature", "--m", "0"], capsys)
     assert code == cli.EXIT_CONFIG
     assert "config error" in err
+    # an unwritable --out (missing directory, or a directory) is reported
+    # once the run is done, without a traceback
+    for target, command in (
+            (tmp_path / "missing" / "x.csv",
+             ["solve", "--preset", "case-i", "--t-end", "30"]),
+            (tmp_path, ["convergence", "--preset", "case-i", "--t-end", "30",
+                        "--samples", "30", "--m", "1"])):
+        code, _, err = _run(command + ["--out", str(target)], capsys)
+        assert code == cli.EXIT_CONFIG, target
+        assert "cannot write" in err
+        assert "Traceback" not in err
 
     # every rule is built before the reference solve
     def no_solve(dde, t_end, opts):
@@ -287,6 +298,7 @@ def test_exit_code_solver_failure(capsys, monkeypatch):
                         capsys)
     assert code == cli.EXIT_SOLVER
     assert "cannot reach" in err
+    assert "solver time is t/b, b = 150 days" in err
     monkeypatch.setattr(cli, "MAX_STEPS", 10)
     code, _, err = _run(["solve", "--preset", "case-i"], capsys)
     assert code == cli.EXIT_SOLVER

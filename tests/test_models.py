@@ -68,8 +68,8 @@ def test_parameter_validation():
 
 
 def test_auxiliary_chain_initial_values(case_i_params, case_ii_params):
-    sys_i = pdl.sir_equivalent(case_i_params)
-    sys_ii = pdl.sir_equivalent(case_ii_params)
+    sys_i = pdl.build_equivalent(pdl.sir_distributed(case_i_params))
+    sys_ii = pdl.build_equivalent(pdl.sir_distributed(case_ii_params))
     assert sys_i.assembled.dimension == 8
     assert sys_i.assembled.history(0.0)[3] == pytest.approx(1.2, rel=1e-13)
     assert sys_ii.assembled.history(0.0)[3] == pytest.approx(1.0, rel=1e-13)

@@ -26,10 +26,11 @@ def test_scalar_uniform_assembly():
     w = pdl.beta_polynomial(0.5, 2.0, 0, 0)
     system = pdl.build_equivalent(_scalar_distributed(w))
     assert system.degree == 0
-    assert system.aux_count == 1
+    # the chain length is dimension - d and the delay pair is the weight's
+    assert system.assembled.dimension - 1 == 1
     assert system.assembled.dimension == 2
     assert system.assembled.delays == (0.5, 2.0)
-    assert system.delays == (0.5, 2.0)
+    assert (w.a, w.b) == (0.5, 2.0)
 
 
 def test_scalar_uniform_aux_equation():
@@ -75,10 +76,42 @@ def test_degenerate_interval_solve_matches_quadrature():
     assert ye == pytest.approx(yq, abs=2e-4)
 
 
+def test_two_delayed_components_match_quadrature_and_direct_moments():
+    # components 0 and 2 are delayed, each with its own degree-3 chain;
+    # the history is non-constant, so the chains start from quadrature
+    a, b = 0.5, 2.0
+    w = pdl.beta_polynomial(a, b, 1, 2)
+    dde = pdl.DistributedDelayDde(
+        dimension=3, weight=w, delayed_components=frozenset({0, 2}),
+        rhs=lambda t, y, z: np.array([-0.5 * z[0],
+                                      0.2 * z[0] - 0.3 * y[1],
+                                      -0.25 * z[2] + 0.1 * y[1]]),
+        history=lambda t: np.array([math.cos(t), 1.0, 1.0 + 0.5 * t]))
+    system = pdl.build_equivalent(dde)
+    assert system.assembled.dimension == 11
+    opts = pdl.SolverOptions(rtol=1e-11, atol=1e-13)
+    eq = pdl.solve(system.assembled, 4.0, opts)
+    qd = pdl.solve(pdl.build_quadrature_dde(
+        dde, pdl.gauss_jacobi(12, 1, 2, a, b)), 4.0, opts)
+    ts = np.linspace(0.0, 4.0, 41)
+    gap = pdl.dense_eval(eq, ts)[:, :3] - pdl.dense_eval(qd, ts)
+    assert np.max(np.abs(gap)) <= 1e-4
+    # x_i(4) = integral_a^b y_c(4 - tau) tau^i dtau, per chain in
+    # ascending component order
+    rule = pdl.gauss_legendre(32, a, b)
+    state = pdl.dense_eval(eq, 4.0)
+    past = pdl.dense_eval(eq, 4.0 - rule.nodes)
+    powers = np.vander(rule.nodes, 4, increasing=True)
+    for k, c in enumerate((0, 2)):
+        direct = (b - a) * ((rule.weights * past[:, c]) @ powers)
+        block = state[3 + 4 * k:7 + 4 * k]
+        assert np.max(np.abs(block - direct)) <= 1e-8, c
+
+
 def test_sir_equivalent_dimension(case_i_params):
-    system = pdl.sir_equivalent(case_i_params)
+    system = pdl.build_equivalent(pdl.sir_distributed(case_i_params))
     assert system.degree == 4
-    assert system.aux_count == 5
+    assert system.assembled.dimension - 3 == 5
     assert system.assembled.dimension == 8
     assert system.assembled.delays == (30.0, 150.0)
 
@@ -106,14 +139,12 @@ def test_aux_derivative_identity_against_quadrature():
 
 
 def test_aux_initial_values_constant_histories():
-    rule = pdl.gauss_legendre(32, 0.0, 1.0)
     w = pdl.beta_polynomial(0.0, 1.0, 0, 0)
-    vals = pdl.aux_initial_values(lambda t: 1.0, w, rule)
+    vals = pdl.aux_initial_values(lambda t: 1.0, w)
     assert vals[0] == pytest.approx(1.0, rel=1e-14)
 
     w2 = pdl.beta_polynomial(30.0, 150.0, 2, 2)
-    rule2 = pdl.gauss_legendre(32, 30.0, 150.0)
-    vals2 = pdl.aux_initial_values(lambda t: 0.01, w2, rule2)
+    vals2 = pdl.aux_initial_values(lambda t: 0.01, w2)
     assert vals2[0] == pytest.approx(1.2, rel=1e-14)
     for i in range(5):
         closed = 0.01 * (150.0 ** (i + 1) - 30.0 ** (i + 1)) / (i + 1)
@@ -122,28 +153,19 @@ def test_aux_initial_values_constant_histories():
 
 def test_aux_initial_values_linear_history():
     # phi(t) = t gives x_0(0) = integral_0^1 (-tau) dtau = -1/2
-    rule = pdl.gauss_legendre(32, 0.0, 1.0)
     w = pdl.beta_polynomial(0.0, 1.0, 0, 0)
-    vals = pdl.aux_initial_values(lambda t: t, w, rule)
+    vals = pdl.aux_initial_values(lambda t: t, w)
     assert vals[0] == pytest.approx(-0.5, rel=1e-13)
 
 
 def test_aux_initial_values_oscillatory_history_oracle():
     a, b = 0.5, 2.0
     w = pdl.beta_polynomial(a, b, 2, 2)
-    rule = pdl.gauss_legendre(32, a, b)
-    vals = pdl.aux_initial_values(lambda t: math.cos(t), w, rule)
+    vals = pdl.aux_initial_values(lambda t: math.cos(t), w)
     for i in range(5):
         want, _ = integrate.quad(lambda tau, i=i: math.cos(-tau) * tau ** i,
                                  a, b, epsabs=1e-13, epsrel=1e-13)
         assert vals[i] == pytest.approx(want, rel=1e-10)
-
-
-def test_aux_initial_values_checks_rule_interval():
-    w = pdl.beta_polynomial(0.0, 1.0, 0, 0)
-    rule = pdl.gauss_legendre(8, 0.0, 2.0)
-    with pytest.raises(ValueError):
-        pdl.aux_initial_values(lambda t: 1.0, w, rule)
 
 
 def test_stationary_aux_values():
@@ -152,8 +174,7 @@ def test_stationary_aux_values():
     vals = pdl.stationary_aux(1.0, w)
     for i in range(3):
         assert vals[i] == pytest.approx(1.0 / (i + 1), rel=1e-14)
-    rule = pdl.gauss_legendre(32, 0.0, 1.0)
-    same = pdl.aux_initial_values(lambda t: 1.0, w, rule)
+    same = pdl.aux_initial_values(lambda t: 1.0, w)
     assert vals == pytest.approx(same, rel=1e-14)
 
 
@@ -183,8 +204,8 @@ def test_scale_distributed_moves_support_and_history():
 
 
 def test_scale_system_case_i_delays(case_i_params):
-    system = pdl.sir_equivalent(case_i_params)
-    scaled = pdl.scale_system(system)
+    scaled = pdl.build_equivalent(pdl.scale_distributed(
+        pdl.sir_distributed(case_i_params)))
     assert scaled.assembled.delays == pytest.approx((0.2, 1.0), abs=1e-15)
     assert scaled.assembled.dimension == 8
 
@@ -194,8 +215,9 @@ def test_scaled_and_unscaled_solves_agree(case_i_params):
     # two solves (it shrinks linearly with rtol), so rtol 1e-8 keeps it
     # well under 1e-4
     opts = pdl.SolverOptions(rtol=1e-8, atol=1e-10)
-    system = pdl.sir_equivalent(case_i_params)
-    scaled = pdl.scale_system(system)
+    sir = pdl.sir_distributed(case_i_params)
+    system = pdl.build_equivalent(sir)
+    scaled = pdl.build_equivalent(pdl.scale_distributed(sir))
     plain = pdl.solve(system.assembled, 1000.0, opts)
     fast = pdl.solve(scaled.assembled, 20.0 / 3.0, opts)
     ts = np.linspace(0.0, 1000.0, 100)
@@ -206,8 +228,9 @@ def test_scaled_and_unscaled_solves_agree(case_i_params):
 
 def test_scaled_aux_initial_values(case_i_params):
     # x_scaled_i(0) = x_i(0) / b^{i+1}
-    system = pdl.sir_equivalent(case_i_params)
-    scaled = pdl.scale_system(system)
+    sir = pdl.sir_distributed(case_i_params)
+    system = pdl.build_equivalent(sir)
+    scaled = pdl.build_equivalent(pdl.scale_distributed(sir))
     plain0 = system.assembled.history(0.0)[3:]
     scaled0 = scaled.assembled.history(0.0)[3:]
     b = 150.0
