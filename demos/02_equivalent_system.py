@@ -56,13 +56,12 @@ for tc in np.linspace(1.5, 20.0 / 3.0, 5):
 
 print()
 print("stationary points of the model:")
-for point in pdl.sir_equilibrium(params):
+for y in pdl.sir_equilibrium(params):
     print("  y* = (%.3f, %.3f, %.3f), x*_0 = %.4g"
-          % (point.y_star[0], point.y_star[1], point.y_star[2],
-             point.x_star[0]))
+          % (y[0], y[1], y[2], pdl.stationary_aux(y[1], params.weight)[0]))
 found = pdl.find_stationary(sir, np.array([0.6, 0.2, 0.2]))
 print("Newton search from (0.6, 0.2, 0.2) lands on y* = (%.6f, %.6f, %.6f);"
-      % tuple(found.y_star))
+      % tuple(found))
 print("the endemic equilibria form a family (S* fixed at theta/sigma, I*")
 print("and R* free), and the search converges to the nearest member")
 

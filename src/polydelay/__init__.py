@@ -17,9 +17,9 @@ from .models import (SirParameters, sir_conserved, sir_distributed,
 from .quadrature import (QuadratureRule, apply, build_quadrature_dde,
                          gauss_jacobi, gauss_legendre)
 from .transform import (DistributedDelayDde, EquivalentSystem,
-                        StationaryPoint, aux_initial_values, build_equivalent,
-                        find_stationary, nilpotent_exponential,
-                        scale_distributed, stationary_aux, structure_matrix)
+                        aux_initial_values, build_equivalent, find_stationary,
+                        nilpotent_exponential, scale_distributed,
+                        stationary_aux, structure_matrix)
 from .weightfn import (MAX_DEGREE, PolynomialWeight, beta_polynomial,
                        evaluate, moment, rescale_to_unit)
 
@@ -31,8 +31,8 @@ __all__ = [
     "SirParameters", "sir_conserved", "sir_distributed", "sir_equilibrium",
     "QuadratureRule", "apply", "build_quadrature_dde", "gauss_jacobi",
     "gauss_legendre",
-    "DistributedDelayDde", "EquivalentSystem", "StationaryPoint",
-    "aux_initial_values", "build_equivalent",
+    "DistributedDelayDde", "EquivalentSystem", "aux_initial_values",
+    "build_equivalent",
     "find_stationary", "nilpotent_exponential", "scale_distributed",
     "stationary_aux", "structure_matrix",
     "MAX_DEGREE", "PolynomialWeight", "beta_polynomial", "evaluate",

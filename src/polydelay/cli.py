@@ -13,16 +13,18 @@ command-line flags, in that order of precedence. Floats are written with
 """
 
 import argparse
+import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
+# dense_eval is not called here; it stays importable for tracing harnesses
 from .ddesolver import SolverError, SolverOptions, dense_eval, sample, solve
 from .models import SirParameters, sir_distributed, sir_equilibrium
 from .quadrature import build_quadrature_dde, gauss_jacobi
-from .transform import build_equivalent, scale_distributed
+from .transform import build_equivalent, scale_distributed, stationary_aux
 from .weightfn import beta_polynomial, moment
 
 # Step budget for CLI-driven solves; module level so harnesses can lower
@@ -217,13 +219,12 @@ def run_convergence(config, m_list):
     quads = [_quadrature_dde(config, base, m) for m in m_list]
     system = build_equivalent(base)
     ref = solve(system.assembled, t_end, opts)
-    grid = np.linspace(0.0, t_end, config.samples)
-    ref_vals = dense_eval(ref, grid)[:, :3]
+    ref_vals = sample(ref, config.samples)[1][:, :3]
 
     def one_m(dde):
         traj = solve(dde, t_end, opts)
-        return np.max(np.abs(dense_eval(traj, grid)[:, :3] - ref_vals),
-                      axis=0)
+        return np.max(np.abs(sample(traj, config.samples)[1][:, :3]
+                             - ref_vals), axis=0)
 
     return np.array([one_m(dde) for dde in quads]), ref.steps_taken
 
@@ -240,23 +241,26 @@ def run_quad_table(config, m):
     for node, wgt in zip(rule.nodes, rule.weights):
         lines.append("%s,%s" % (_fmt(node), _fmt(wgt)))
     lines.append("degree,residual")
-    for i in range(2 * m):
-        exact = moment(weight, i)
+    try:
+        exact = [moment(weight, i) for i in range(2 * m)]
+    except OverflowError:
+        raise ConfigError(
+            "m = %d is too large for [%s, %s]: the moments up to degree %d "
+            "overflow" % (m, _fmt(config.a), _fmt(config.b), 2 * m - 1))
+    for i, ex in enumerate(exact):
         approx = float(np.dot(rule.weights, rule.nodes ** i))
-        residual = abs(approx - exact) / max(1.0, abs(exact))
-        lines.append("%d,%s" % (i, _fmt(residual)))
+        lines.append("%d,%s" % (i, _fmt(abs(approx - ex) / max(1.0, abs(ex)))))
     return lines
 
 
 def run_stationary(config):
     """Equilibria of the configured model as printable lines."""
+    params = _sir_params(config)
     lines = []
-    names = ("disease-free", "endemic")
-    for name, point in zip(names, sir_equilibrium(_sir_params(config))):
-        lines.append("%s: S=%s I=%s R=%s" % (
-            name, _fmt(point.y_star[0]), _fmt(point.y_star[1]),
-            _fmt(point.y_star[2])))
-        lines.append("  aux: %s" % " ".join(_fmt(v) for v in point.x_star))
+    for name, y in zip(("disease-free", "endemic"), sir_equilibrium(params)):
+        aux = stationary_aux(y[1], params.weight)
+        lines += ["%s: S=%s I=%s R=%s" % (name, *map(_fmt, y)),
+                  "  aux: %s" % " ".join(map(_fmt, aux))]
     return lines
 
 
@@ -275,6 +279,8 @@ def _output(path):
     # output, so a failed run leaves an existing file untouched
     if path is None:
         yield sys.stdout
+        # a reader that closed the pipe early surfaces here, inside main
+        sys.stdout.flush()
         return
     try:
         fh = open(path, "w")
@@ -390,6 +396,11 @@ def main(argv=None):
     except (ValueError, RuntimeError, ArithmeticError) as exc:
         print("internal numerical error: %s" % exc, file=sys.stderr)
         return EXIT_NUMERICAL
+    except BrokenPipeError:
+        # the reader (say, head) has all it wanted; point stdout at devnull
+        # so the interpreter's final flush stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     return EXIT_OK
 
 

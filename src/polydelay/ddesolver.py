@@ -14,6 +14,7 @@ Derivative discontinuities propagating from t = 0 are handled by forcing
 the mesh onto all sums of up to four delays.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -152,18 +153,12 @@ def _breakpoints(delays, t_end):
     Points within 1e-12 of each other are merged; anything within 1e-12
     of t_end is dropped (the horizon itself is always a stop).
     """
-    pts = set()
-    for i, ti in enumerate(delays):
-        for tj in delays[i:]:
-            for k in range(_BREAKPOINT_ORDER + 1):
-                for l in range(_BREAKPOINT_ORDER + 1 - k):
-                    if k + l == 0:
-                        continue
-                    s = k * ti + l * tj
-                    if 0.0 < s < t_end - _BREAKPOINT_MERGE:
-                        pts.add(s)
+    pts = {k * ti + l * tj
+           for ti, tj in itertools.combinations_with_replacement(delays, 2)
+           for k in range(_BREAKPOINT_ORDER + 1)
+           for l in range(_BREAKPOINT_ORDER + 1 - k) if k + l >= 1}
     merged = []
-    for s in sorted(pts):
+    for s in sorted(x for x in pts if x < t_end - _BREAKPOINT_MERGE):
         if not merged or s - merged[-1] > _BREAKPOINT_MERGE:
             merged.append(s)
     return merged
@@ -249,30 +244,21 @@ def solve(dde, t_end, opts=None):
     f0 = checked_rhs(0.0, y0)
     derivs[0] = f0
 
-    def initial_step():
-        cap = min(opts.h_max, tau_min, stops[0])
-        if opts.h_init is not None:
-            return min(opts.h_init, cap)
+    cap = min(opts.h_max, tau_min, stops[0])
+    if opts.h_init is not None:
+        h = min(opts.h_init, cap)
+    else:
         # curvature probe: one Euler step at a crude first guess, then
         # size from the larger of |f| and the observed df/dt
         scale = opts.atol + opts.rtol * np.abs(y0)
         d0 = float(np.max(np.abs(y0) / scale))
         d1 = float(np.max(np.abs(f0) / scale))
-        if d0 < 1e-5 or d1 < 1e-5:
-            h0 = 1e-6
-        else:
-            h0 = 0.01 * d0 / d1
-        h0 = min(h0, cap)
+        h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, cap)
         f1 = checked_rhs(h0, y0 + h0 * f0)
-        d2 = float(np.max(np.abs(f1 - f0) / scale)) / h0
-        dm = max(d1, d2)
-        if dm > 1e-15:
-            h1 = (0.01 / dm) ** (1.0 / 3.0)
-        else:
-            h1 = max(1e-6, h0 * 1e-3)
-        return min(100.0 * h0, h1, cap)
-
-    h = initial_step()
+        dm = max(d1, float(np.max(np.abs(f1 - f0) / scale)) / h0)
+        h1 = ((0.01 / dm) ** (1.0 / 3.0) if dm > 1e-15
+              else max(1e-6, h0 * 1e-3))
+        h = min(100.0 * h0, h1, cap)
     atol, rtol, h_max = opts.atol, opts.rtol, opts.h_max
     # stage derivatives; row 0 is the derivative at the current point
     K = np.empty((4, d))
@@ -283,10 +269,9 @@ def solve(dde, t_end, opts=None):
     stop_idx = 0
     taken = 0
     rejected = 0
-    attempts = 0
 
     while t < t_end:
-        if attempts >= opts.max_steps:
+        if taken + rejected >= opts.max_steps:
             raise SolverError(
                 "step budget of %d exhausted at t = %g "
                 "(%d accepted, %d rejected)"
@@ -304,7 +289,6 @@ def solve(dde, t_end, opts=None):
             h = 0.5 * remaining
         if h < 1e3 * _EPS * abs(t):
             raise SolverError("step size underflow at t = %.17g" % t)
-        attempts += 1
 
         t2 = t + _C2 * h
         t3 = t + _C3 * h
@@ -333,17 +317,13 @@ def solve(dde, t_end, opts=None):
             taken += 1
             if on_stop:
                 stop_idx += 1
-            if enorm == 0.0:
-                h *= 5.0
-            else:
-                h *= min(5.0, max(0.2, 0.9 * enorm ** (-1.0 / 3.0)))
+        elif not (math.isfinite(enorm) or np.isfinite(K).all()):
+            raise SolverError(
+                "non-finite right-hand side in the step from t = %g" % t)
         else:
-            if not (math.isfinite(enorm) or np.isfinite(K).all()):
-                raise SolverError(
-                    "non-finite right-hand side in the step from t = %g"
-                    % t)
             rejected += 1
-            h *= min(5.0, max(0.2, 0.9 * enorm ** (-1.0 / 3.0)))
+        h *= (5.0 if enorm == 0.0
+              else min(5.0, max(0.2, 0.9 * enorm ** (-1.0 / 3.0))))
 
     # Exact-length views: rows past n were never written, so they take
     # address space but no memory. Copies would briefly double the result

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ddesolver import sample
-from .transform import DistributedDelayDde, StationaryPoint, stationary_aux
+from .transform import DistributedDelayDde
 from .weightfn import PolynomialWeight
 
 
@@ -73,34 +73,25 @@ def sir_distributed(params):
                                history=hist)
 
 
-def sir_conserved(traj, k=1000):
-    """Largest violation of S + I + R = 1 on a k-point sample grid."""
-    _, y = sample(traj, k)
+def sir_conserved(traj):
+    """Largest violation of S + I + R = 1 on a 1000-point sample grid."""
+    _, y = sample(traj, 1000)
     return float(np.max(np.abs(y[:, 0] + y[:, 1] + y[:, 2] - 1.0)))
 
 
-def sir_equilibrium(params, endemic_infected=None):
-    """Representative equilibria of the model, as StationaryPoint list.
+def sir_equilibrium(params):
+    """Representative equilibrium states (S*, I*, R*) of the model.
 
     Disease-free states (S*, 0, 1 - S*) are stationary for every S*; the
-    returned representative puts everyone in S. When theta/sigma < 1 an
+    first representative puts everyone in S. When theta/sigma < 1 an
     endemic equilibrium family exists with S* = theta/sigma forced and
-    I* free in (0, 1 - S*]; endemic_infected selects the member (default:
-    half the non-susceptible mass). Auxiliary values follow the
-    stationary closed form applied to I*.
+    I* free in (0, 1 - S*]; the second representative takes half the
+    non-susceptible mass, I* = (1 - S*) / 2. The auxiliary values of a
+    state are stationary_aux(I*, params.weight).
     """
-    w = params.weight
-    points = [StationaryPoint(y_star=np.array([1.0, 0.0, 0.0]),
-                              x_star=stationary_aux(0.0, w))]
+    points = [np.array([1.0, 0.0, 0.0])]
     s_star = params.theta / params.sigma
     if s_star < 1.0:
-        if endemic_infected is None:
-            endemic_infected = 0.5 * (1.0 - s_star)
-        i_star = float(endemic_infected)
-        if not 0.0 < i_star <= 1.0 - s_star:
-            raise ValueError(
-                "endemic infected fraction must lie in (0, 1 - theta/sigma]")
-        points.append(StationaryPoint(
-            y_star=np.array([s_star, i_star, 1.0 - s_star - i_star]),
-            x_star=stationary_aux(i_star, w)))
+        i_star = 0.5 * (1.0 - s_star)
+        points.append(np.array([s_star, i_star, 1.0 - s_star - i_star]))
     return points

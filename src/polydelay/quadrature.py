@@ -17,8 +17,6 @@ import numpy as np
 from .ddesolver import DiscreteDelayDde
 from .weightfn import _checked_exponent
 
-_EPS = float(np.finfo(float).eps)
-
 
 @dataclass(frozen=True)
 class QuadratureRule:
@@ -96,10 +94,6 @@ def gauss_jacobi(m, p, q, a, b):
     off = np.sqrt(bsq)
     lam, vecs = np.linalg.eigh(
         np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-    if np.any(np.diff(lam) <= 8.0 * _EPS):
-        raise RuntimeError(
-            "quadrature eigenvalues collided; recurrence data must be "
-            "inconsistent")
     w = vecs[0] ** 2
     return QuadratureRule(nodes=a + (b - a) * (lam + 1.0) / 2.0,
                           weights=w / w.sum(), exactness=2 * m - 1,

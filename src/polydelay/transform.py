@@ -64,16 +64,6 @@ class EquivalentSystem:
     assembled: DiscreteDelayDde
 
 
-@dataclass(frozen=True)
-class StationaryPoint:
-    """Constant solution y* (componentwise f(y*, y*) = 0) with the
-    stationary auxiliary values x* of every delayed component, stacked in
-    chain order."""
-
-    y_star: np.ndarray
-    x_star: np.ndarray
-
-
 def aux_initial_values(history, weight):
     """Initial auxiliary values x_i(0) = integral_a^b history(-tau) tau^i dtau.
 
@@ -224,8 +214,9 @@ def find_stationary(dde, guess):
     components. The Jacobian is forward-difference and the update is its
     least-squares solution, so families of equilibria (singular
     Jacobians) converge to a nearby family member; the step is halved
-    until the residual decreases. Raises RuntimeError when the residual
-    cannot be pushed below 1e-10.
+    until the residual decreases. Returns y*; the auxiliary values of a
+    delayed component c are stationary_aux(y*[c], dde.weight). Raises
+    RuntimeError when the residual cannot be pushed below 1e-10.
     """
     d = dde.dimension
     comps = sorted(dde.delayed_components)
@@ -263,5 +254,4 @@ def find_stationary(dde, guess):
     if float(np.max(np.abs(r))) > 1e-10:
         raise RuntimeError(
             "Newton iteration stalled at residual %g" % np.max(np.abs(r)))
-    x = np.concatenate([stationary_aux(y[c], dde.weight) for c in comps])
-    return StationaryPoint(y_star=y, x_star=x)
+    return y

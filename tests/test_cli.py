@@ -2,10 +2,14 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import polydelay as pdl
 from polydelay import cli
 
 
@@ -189,6 +193,11 @@ def test_stationary_lines(capsys):
     lines = out.strip().split("\n")
     assert lines[0] == "disease-free: S=1 I=0 R=0"
     assert lines[2] == "endemic: S=0.5 I=0.25 R=0.25"
+    # the auxiliary values are the stationary closed form at I* = 0, 0.25
+    weight = pdl.beta_polynomial(30.0, 150.0, 2, 2)
+    for line, i_star in ((lines[1], 0.0), (lines[3], 0.25)):
+        assert line == "  aux: " + " ".join(
+            cli._fmt(v) for v in pdl.stationary_aux(i_star, weight))
 
 
 def test_convergence_csv(capsys):
@@ -224,6 +233,11 @@ def test_convergence_rejects_bad_m_lists(capsys):
     code, _, err = _run(["convergence", "--preset", "case-i",
                          "--m", "x"], capsys)
     assert code == cli.EXIT_CONFIG
+    # --m 0 means the empty range 1..0
+    code, _, err = _run(["convergence", "--preset", "case-i",
+                         "--m", "0"], capsys)
+    assert code == cli.EXIT_CONFIG
+    assert "need at least one node count" in err
 
 
 def test_exit_code_config_errors(tmp_path, capsys, monkeypatch):
@@ -243,6 +257,11 @@ def test_exit_code_config_errors(tmp_path, capsys, monkeypatch):
     code, _, err = _run(["quad", "--preset", "case-i", "--m", "0"], capsys)
     assert code == cli.EXIT_CONFIG
     assert "config error" in err
+    # the residual table needs moments up to degree 2m - 1; b = 250 to
+    # the power 130 overflows a float, while m = 62 still fits
+    code, _, err = _run(["quad", "--preset", "case-ii", "--m", "63"], capsys)
+    assert code == cli.EXIT_CONFIG
+    assert "m = 63 is too large for [150, 250]" in err
     code, _, err = _run(["solve", "--preset", "case-i", "--t-end", "inf"],
                         capsys)
     assert code == cli.EXIT_CONFIG
@@ -289,6 +308,23 @@ def test_exit_code_config_errors(tmp_path, capsys, monkeypatch):
                         capsys)
     assert code == cli.EXIT_CONFIG
     assert "config error" in err
+
+
+def test_closed_stdout_pipe_exits_quietly():
+    # 20000 rows are several times a 64 KiB pipe buffer, so writes fail
+    # once the reader has gone, as with `polydelay solve ... | head -n 1`
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "polydelay.cli", "solve", "--preset",
+         "case-i", "--samples", "20000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert proc.stdout.readline().startswith(b"t,S,I,R,")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == cli.EXIT_OK
+    assert err == b""
 
 
 def test_exit_code_solver_failure(capsys, monkeypatch):

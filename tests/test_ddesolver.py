@@ -249,6 +249,23 @@ def test_history_dimension_mismatch_rejected():
                                history=lambda t: np.array([1.0]))
     with pytest.raises(ValueError):
         pdl.solve(dde, 1.0)
+    # the rhs output is checked the same way
+    dde = pdl.DiscreteDelayDde(dimension=1, delays=(1.0,),
+                               rhs=lambda t, y, Z: np.array([1.0, 2.0]),
+                               history=lambda t: np.array([1.0]))
+    with pytest.raises(ValueError, match="length-1 derivatives"):
+        pdl.solve(dde, 1.0)
+
+
+def test_step_size_underflow_raises_solver_error():
+    # y' jumps from 0 to 1e12 at t = 0.5: every step across the jump is
+    # rejected until the step size falls below roundoff of t
+    dde = pdl.DiscreteDelayDde(
+        dimension=1, delays=(1.0,),
+        rhs=lambda t, y, Z: np.array([1e12 if t > 0.5 else 0.0]),
+        history=lambda t: np.array([1.0]))
+    with pytest.raises(pdl.SolverError, match="underflow"):
+        pdl.solve(dde, 1.0, pdl.SolverOptions(max_steps=10000))
 
 
 def test_nonfinite_rhs_raises_solver_error():
@@ -298,8 +315,10 @@ def test_nonfinite_rhs_mid_run_raises_solver_error():
 
     dde = pdl.DiscreteDelayDde(dimension=1, delays=(1.0,), rhs=rhs,
                                history=lambda t: np.array([1.0]))
+    # the inf stage makes the error norm nan, which numpy reports
     with pytest.raises(pdl.SolverError, match="non-finite"):
-        pdl.solve(dde, 4.0)
+        with pytest.warns(RuntimeWarning, match="invalid value"):
+            pdl.solve(dde, 4.0)
     # one attempt's three stages at most: no rejection loop
     assert 1 <= len(bad_calls) <= 3
 

@@ -89,22 +89,10 @@ def test_equilibria_endemic_value(case_i_params):
     points = pdl.sir_equilibrium(case_i_params)
     assert len(points) == 2
     free, endemic = points
-    assert free.y_star == pytest.approx((1.0, 0.0, 0.0))
-    assert np.all(free.x_star == 0.0)
-    assert endemic.y_star[0] == pytest.approx(0.5, rel=1e-14)
-    assert endemic.y_star[1] == pytest.approx(0.25, rel=1e-14)
-    assert endemic.y_star.sum() == pytest.approx(1.0, abs=1e-15)
-    assert endemic.x_star == pytest.approx(
-        pdl.stationary_aux(0.25, case_i_params.weight), rel=1e-14)
-
-
-def test_equilibria_custom_infected_fraction(case_i_params):
-    points = pdl.sir_equilibrium(case_i_params, endemic_infected=0.5)
-    assert points[1].y_star == pytest.approx((0.5, 0.5, 0.0))
-    with pytest.raises(ValueError):
-        pdl.sir_equilibrium(case_i_params, endemic_infected=0.6)
-    with pytest.raises(ValueError):
-        pdl.sir_equilibrium(case_i_params, endemic_infected=0.0)
+    assert free == pytest.approx((1.0, 0.0, 0.0))
+    assert endemic[0] == pytest.approx(0.5, rel=1e-14)
+    assert endemic[1] == pytest.approx(0.25, rel=1e-14)
+    assert endemic.sum() == pytest.approx(1.0, abs=1e-15)
 
 
 def test_equilibria_without_endemic_branch():

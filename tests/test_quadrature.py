@@ -129,6 +129,19 @@ def test_rule_rejects_nonfinite_nodes_and_weights():
                            exactness=3, interval=(0.0, 1.0))
 
 
+def test_rule_rejects_malformed_nodes_and_weights():
+    for nodes, weights, message in (
+            ([], [], "nonempty"),
+            ([0.25, 0.75], [0.25, 0.5, 0.25], "matching"),
+            ([0.75, 0.25], [0.5, 0.5], "increasing"),
+            ([0.0, 0.75], [0.5, 0.5], "inside the interval"),
+            ([0.25, 0.75], [1.0, 0.0], "positive"),
+            ([0.25, 0.75], [0.5, 0.6], "sum to one")):
+        with pytest.raises(ValueError, match=message):
+            pdl.QuadratureRule(nodes=nodes, weights=weights, exactness=3,
+                               interval=(0.0, 1.0))
+
+
 def test_quadrature_dde_single_node_sits_at_mean(case_i_params):
     base = pdl.sir_distributed(case_i_params)
     rule = pdl.gauss_jacobi(1, 2, 2, 30, 150)

@@ -313,15 +313,12 @@ def test_nilpotent_exponential_exact_rational_oracle(n, t):
 
 def test_find_stationary_on_sir(case_i_params):
     dde = pdl.sir_distributed(case_i_params)
-    point = pdl.find_stationary(dde, np.array([0.6, 0.2, 0.2]))
-    y = point.y_star
+    y = pdl.find_stationary(dde, np.array([0.6, 0.2, 0.2]))
     z = np.zeros(3)
     z[1] = y[1]
     assert np.max(np.abs(dde.rhs(0.0, y, z))) <= 1e-10
     # the equilibria are S = theta/sigma with I free, or I = 0
     assert abs(y[0] - 0.5) <= 1e-6 or abs(y[1]) <= 1e-6
-    assert point.x_star == pytest.approx(pdl.stationary_aux(
-        y[1], case_i_params.weight), rel=1e-10, abs=1e-12)
 
 
 def test_find_stationary_reports_failure():
@@ -334,6 +331,11 @@ def test_find_stationary_reports_failure():
 
 def test_distributed_dde_validation():
     w = pdl.beta_polynomial(0.0, 1.0, 0, 0)
+    with pytest.raises(ValueError, match="dimension must be at least 1"):
+        pdl.DistributedDelayDde(dimension=0,
+                                rhs=lambda t, y, z: -y, weight=w,
+                                delayed_components=frozenset({0}),
+                                history=lambda t: np.array([1.0]))
     with pytest.raises(ValueError):
         pdl.DistributedDelayDde(dimension=1,
                                 rhs=lambda t, y, z: -y, weight=w,

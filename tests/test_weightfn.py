@@ -129,6 +129,9 @@ def test_weight_rejects_bad_interval():
 def test_weight_rejects_trailing_zero_coefficient():
     with pytest.raises(ValueError):
         pdl.PolynomialWeight(a=0.0, b=1.0, coeffs=(1.0, 0.0))
+    # no coefficient at all has no trailing one either
+    with pytest.raises(ValueError, match="nonempty"):
+        pdl.PolynomialWeight(a=0.0, b=1.0, coeffs=())
 
 
 def test_weight_rejects_unnormalised_density():
