@@ -277,17 +277,23 @@ def _output(path):
     # path None is standard output; a path is opened here so numpy never
     # picks a compressed format from its suffix, and only once there is
     # output, so a failed run leaves an existing file untouched
-    if path is None:
-        yield sys.stdout
-        # a reader that closed the pipe early surfaces here, inside main
-        sys.stdout.flush()
-        return
     try:
-        fh = open(path, "w")
+        if path is None:
+            yield sys.stdout
+            # a failed write of buffered output surfaces here, inside main
+            sys.stdout.flush()
+        else:
+            with open(path, "w") as fh:
+                yield fh
     except OSError as exc:
-        raise ConfigError("cannot write %s: %s" % (path, exc))
-    with fh:
-        yield fh
+        if path is None:
+            # drop the unwritten rest, so the interpreter's final flush
+            # stays quiet
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if isinstance(exc, BrokenPipeError):
+            raise
+        raise ConfigError("cannot write %s: %s" % (
+            "standard output" if path is None else path, exc))
 
 
 def write_csv(header, rows, path=None):
@@ -397,9 +403,7 @@ def main(argv=None):
         print("internal numerical error: %s" % exc, file=sys.stderr)
         return EXIT_NUMERICAL
     except BrokenPipeError:
-        # the reader (say, head) has all it wanted; point stdout at devnull
-        # so the interpreter's final flush stays quiet
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        # the reader (say, head) has all it wanted
         return EXIT_OK
     return EXIT_OK
 

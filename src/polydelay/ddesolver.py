@@ -7,9 +7,17 @@ delay, so every delayed query of a step falls inside territory that is
 already accepted when the step starts (or in the history function for
 arguments at or below zero). The 3 * (number of delays) queries of an
 attempt are therefore answered at its start, with one searchsorted over
-the mesh and one vectorised Hermite evaluation. Mesh, states and
-derivatives live in preallocated arrays that double when full, and the
-stages are checked for finiteness once per step, through the error norm.
+the mesh and one vectorised Hermite evaluation. When the step size sits
+at its cap (h_max or the smallest delay), the next steps are predicted at
+that same size, as far as the next stop and the accepted mesh allow, and
+the queries of all of them go through one lookup. Each later attempt
+whose stage times equal the next predicted ones takes its delayed states
+from that block; since the Hermite is elementwise and no block query lies
+past the mesh end, they equal a per-attempt lookup bit for bit. Any other
+attempt (a rejection, a shrinking step, a landing on a stop) drops the
+block and looks up its own queries. Mesh, states and derivatives live in
+preallocated arrays that double when full, and the stages are checked
+for finiteness once per step, through the error norm.
 Derivative discontinuities propagating from t = 0 are handled by forcing
 the mesh onto all sums of up to four delays.
 """
@@ -35,6 +43,11 @@ _E = np.array([-5.0 / 72.0, 1.0 / 12.0, 1.0 / 9.0, -1.0 / 8.0])
 _INITIAL_CAPACITY = 1024
 _BREAKPOINT_ORDER = 4
 _BREAKPOINT_MERGE = 1e-12
+# Steps per block lookup: the first block after a miss predicts
+# _BLOCK_MIN steps, each later one twice as many, up to _BLOCK_MAX; a
+# block must hold at least two steps. A miss wastes at most one block.
+_BLOCK_MIN = 4
+_BLOCK_MAX = 128
 
 
 class SolverError(RuntimeError):
@@ -55,7 +68,9 @@ class DiscreteDelayDde:
     rhs : callable
         rhs(t, y, Z) -> length-d derivative; Z has one column per delay.
     history : callable
-        history(t) -> length-d state for t <= 0.
+        history(t) -> length-d state for t <= 0. solve() may also call it
+        at times that a mispredicted run of steps never uses, so it must
+        be deterministic and free of side effects.
     """
 
     dimension: int
@@ -230,6 +245,27 @@ def solve(dde, t_end, opts=None):
                 Z[s, j] = history(float(q[s, j]))
         return Z.transpose(0, 2, 1)
 
+    def block(t, h, next_stop, count):
+        """Stage-time keys and delayed states, three rows per step, of up
+        to count steps of size h from t that stay short of next_stop by
+        more than 2h and whose queries stay below t; ((), None) when fewer
+        than two steps qualify."""
+        # cumsum adds in order, so starts[k] is the float the step loop
+        # reaches after k additions t + h
+        ends = np.full(count + 1, h)
+        ends[0] = t
+        ends = ends.cumsum()
+        starts = ends[:-1]
+        # both conditions are monotone in k, so the passing steps are a
+        # prefix of the run
+        k = int(np.count_nonzero((ends[1:] - tau_min < t)
+                                 & (h < 0.5 * (next_stop - starts))))
+        if k < 2:
+            return (), None
+        times = np.column_stack((starts[:k] + _C2 * h, starts[:k] + _C3 * h,
+                                 ends[1:k + 1]))
+        return list(map(tuple, times.tolist())), delayed(times.ravel())
+
     def checked_rhs(t, y):
         out = np.asarray(rhs(t, y, delayed((t,))[0]), dtype=float)
         if out.shape != (d,):
@@ -259,7 +295,13 @@ def solve(dde, t_end, opts=None):
         h1 = ((0.01 / dm) ** (1.0 / 3.0) if dm > 1e-15
               else max(1e-6, h0 * 1e-3))
         h = min(100.0 * h0, h1, cap)
-    atol, rtol, h_max = opts.atol, opts.rtol, opts.h_max
+    atol, rtol = opts.atol, opts.rtol
+    h_cap = min(opts.h_max, tau_min)
+    # the current block: keys[i] are the predicted (t2, t3, t_new) of its
+    # step i, and block_Z[3i:3i+3] their delayed states
+    keys, block_Z = (), None
+    pos = 0
+    block_len = _BLOCK_MIN
     # stage derivatives; row 0 is the derivative at the current point
     K = np.empty((4, d))
     K[0] = f0
@@ -278,7 +320,7 @@ def solve(dde, t_end, opts=None):
                 % (opts.max_steps, t, taken, rejected))
         next_stop = stops[stop_idx]
         remaining = next_stop - t
-        h = min(h, h_max, tau_min)
+        h = min(h, h_cap)
         # land exactly on the stop; take half the gap instead of leaving
         # a sliver behind
         on_stop = False
@@ -293,7 +335,23 @@ def solve(dde, t_end, opts=None):
         t2 = t + _C2 * h
         t3 = t + _C3 * h
         t_new = next_stop if on_stop else t + h
-        Z = delayed((t2, t3, t_new))
+        key = (t2, t3, t_new)
+        if not (pos < len(keys) and keys[pos] == key):
+            if pos < len(keys):
+                # the run broke off: a rejection, a shrinking step or a
+                # landing
+                block_len = _BLOCK_MIN
+            keys, pos = (), 0
+            if h == h_cap and not on_stop:
+                # a new block's first key is this attempt's
+                keys, block_Z = block(t, h, next_stop, block_len)
+                if keys:
+                    block_len = min(2 * block_len, _BLOCK_MAX)
+        if keys:
+            Z = block_Z[3 * pos:3 * pos + 3]
+            pos += 1
+        else:
+            Z = delayed(key)
         K[1] = rhs(t2, y + (_C2 * h) * K[0], Z[0])
         K[2] = rhs(t3, y + (_C3 * h) * K[1], Z[1])
         y_new = y + h * (_B @ K[:3])

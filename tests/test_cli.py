@@ -327,6 +327,30 @@ def test_closed_stdout_pipe_exits_quietly():
     assert err == b""
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs /dev/full, whose writes fail with ENOSPC")
+def test_failed_write_exits_config_error(capsys):
+    # through --out the write fails when the file is closed
+    code, _, err = _run(["stationary", "--preset", "case-i", "--out",
+                         "/dev/full"], capsys)
+    assert code == cli.EXIT_CONFIG
+    assert err.startswith("config error: cannot write /dev/full: ")
+    assert err.count("\n") == 1
+    # through standard output it fails on the final flush, and the
+    # interpreter's own flush at exit must not fail again
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "polydelay.cli", "quad", "--preset",
+             "case-i", "--m", "3"],
+            stdout=full, stderr=subprocess.PIPE, timeout=120,
+            env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == cli.EXIT_CONFIG
+    err = proc.stderr.decode()
+    assert err.startswith("config error: cannot write standard output: ")
+    assert err.count("\n") == 1
+
+
 def test_exit_code_solver_failure(capsys, monkeypatch):
     # t/b = 6.67 in steps of at most 1e-6 needs 6.7e6 steps: refused
     # before the first step

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import polydelay as pdl
+from polydelay import ddesolver
 from polydelay.ddesolver import _breakpoints
 
 
@@ -427,4 +428,74 @@ def test_long_solve_returns_exact_length_arrays():
     assert traj.states.shape == (rows, 1)
     assert traj.derivs.shape == (rows, 1)
     assert traj.mesh[-1] == 2.0
+    assert np.all(np.diff(traj.mesh) > 0.0)
+
+
+def _solve_with_and_without_blocks(monkeypatch, dde, t_end, opts):
+    """Solve once with block lookups and once with per-attempt lookups
+    only; require identical trajectories and fewer Hermite evaluations
+    with blocks. Returns the blocked trajectory."""
+    hermite = ddesolver._hermite
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return hermite(*args)
+
+    monkeypatch.setattr(ddesolver, "_hermite", counted)
+    blocked = pdl.solve(dde, t_end, opts)
+    blocked_calls = calls[0]
+    # a block holds at least two steps and grows only once built, so
+    # starting at one step builds none
+    monkeypatch.setattr(ddesolver, "_BLOCK_MIN", 1)
+    calls[0] = 0
+    per_step = pdl.solve(dde, t_end, opts)
+    assert blocked_calls < calls[0]
+    for name in ("mesh", "states", "derivs"):
+        assert np.array_equal(getattr(blocked, name),
+                              getattr(per_step, name)), name
+    assert blocked.steps_taken == per_step.steps_taken
+    assert blocked.steps_rejected == per_step.steps_rejected
+    return blocked
+
+
+def _scaled_sir():
+    weight = pdl.beta_polynomial(30.0, 150.0, 2, 2)
+    params = pdl.SirParameters(sigma=0.1, theta=0.05, weight=weight,
+                               y0=(0.99, 0.01, 0.0))
+    return pdl.scale_distributed(pdl.sir_distributed(params))
+
+
+@pytest.mark.parametrize("problem, t_end, h_max", [
+    # h_max-bound, and past tau_max = 1, so early blocks read the history
+    ("equivalent", 1.5, 1e-3),
+    ("quadrature-m8", 1.5, 1e-3),
+    # error control and h_max take turns setting the step
+    ("equivalent", 20.0 / 3.0, 0.012),
+    ("benchmark", 4.0, 0.01)])
+def test_block_lookups_equal_per_step_lookups(monkeypatch, problem, t_end,
+                                              h_max):
+    if problem == "benchmark":
+        dde = _benchmark()
+    elif problem == "equivalent":
+        dde = pdl.build_equivalent(_scaled_sir()).assembled
+    else:
+        base = _scaled_sir()
+        dde = pdl.build_quadrature_dde(base, pdl.gauss_jacobi(
+            8, 2, 2, base.weight.a, base.weight.b))
+    opts = pdl.SolverOptions(rtol=1e-6, atol=1e-8, h_max=h_max)
+    _solve_with_and_without_blocks(monkeypatch, dde, t_end, opts)
+
+
+def test_rejection_inside_a_block_falls_back(monkeypatch):
+    # forcing that switches on at t = 1.537, inside a run of h_max steps
+    # after the breakpoint 1; the h_max step across it is rejected
+    def rhs(t, y, Z):
+        return -Z[:, 0] + (50.0 if t > 1.537 else 0.0)
+
+    dde = pdl.DiscreteDelayDde(dimension=1, delays=(1.0,), rhs=rhs,
+                               history=lambda t: np.array([1.0]))
+    opts = pdl.SolverOptions(h_max=0.01)
+    traj = _solve_with_and_without_blocks(monkeypatch, dde, 3.0, opts)
+    assert traj.steps_rejected > 0
     assert np.all(np.diff(traj.mesh) > 0.0)
