@@ -55,13 +55,14 @@ for tc in np.linspace(1.5, 20.0 / 3.0, 5):
     print("  t = %5.2f  max relative gap %.2e" % (tc, worst))
 
 print()
-print("stationary points of the model:")
+print("stationary points of the model (closed form), with the residual")
+print("max|rhs(0, y*, z = y*)|: in a stationary state the delayed integral")
+print("equals the delayed component, since the density integrates to one:")
 for y in pdl.sir_equilibrium(params):
-    print("  y* = (%.3f, %.3f, %.3f), x*_0 = %.4g"
-          % (y[0], y[1], y[2], pdl.stationary_aux(y[1], params.weight)[0]))
-found = pdl.find_stationary(sir, np.array([0.6, 0.2, 0.2]))
-print("Newton search from (0.6, 0.2, 0.2) lands on y* = (%.6f, %.6f, %.6f);"
-      % tuple(found))
+    z = np.array([0.0, y[1], 0.0])
+    print("  y* = (%.3f, %.3f, %.3f), x*_0 = %.4g, residual %.1e"
+          % (y[0], y[1], y[2], pdl.stationary_aux(y[1], params.weight)[0],
+             np.max(np.abs(sir.rhs(0.0, y, z)))))
 print("the endemic equilibria form a family (S* fixed at theta/sigma, I*")
-print("and R* free), and the search converges to the nearest member")
+print("and R* free); the second point is one member of it")
 

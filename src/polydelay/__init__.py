@@ -17,7 +17,7 @@ from .models import (SirParameters, sir_conserved, sir_distributed,
 from .quadrature import (QuadratureRule, apply, build_quadrature_dde,
                          gauss_jacobi, gauss_legendre)
 from .transform import (DistributedDelayDde, EquivalentSystem,
-                        aux_initial_values, build_equivalent, find_stationary,
+                        aux_initial_values, build_equivalent,
                         nilpotent_exponential, scale_distributed,
                         stationary_aux, structure_matrix)
 from .weightfn import (MAX_DEGREE, PolynomialWeight, beta_polynomial,
@@ -33,7 +33,7 @@ __all__ = [
     "gauss_legendre",
     "DistributedDelayDde", "EquivalentSystem", "aux_initial_values",
     "build_equivalent",
-    "find_stationary", "nilpotent_exponential", "scale_distributed",
+    "nilpotent_exponential", "scale_distributed",
     "stationary_aux", "structure_matrix",
     "MAX_DEGREE", "PolynomialWeight", "beta_polynomial", "evaluate",
     "moment", "rescale_to_unit",

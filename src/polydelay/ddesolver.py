@@ -18,11 +18,11 @@ attempt (a rejection, a shrinking step, a landing on a stop) drops the
 block and looks up its own queries. Mesh, states and derivatives live in
 preallocated arrays that double when full, and the stages are checked
 for finiteness once per step, through the error norm.
-Derivative discontinuities propagating from t = 0 are handled by forcing
-the mesh onto all sums of up to four delays.
+When y' jumps at t = 0, as under a constant history, y'' jumps at each
+delay, and the mesh lands exactly there; the later jumps, at sums of
+delays, are in y''' and higher and are left to the error estimate.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -41,7 +41,6 @@ _E = np.array([-5.0 / 72.0, 1.0 / 12.0, 1.0 / 9.0, -1.0 / 8.0])
 
 # rows of the mesh arrays before their first doubling
 _INITIAL_CAPACITY = 1024
-_BREAKPOINT_ORDER = 4
 _BREAKPOINT_MERGE = 1e-12
 # Steps per block lookup: the first block after a miss predicts
 # _BLOCK_MIN steps, each later one twice as many, up to _BLOCK_MAX; a
@@ -163,17 +162,21 @@ def _doubled(a):
 
 
 def _breakpoints(delays, t_end):
-    """Delay sums k*tau_i + l*tau_j with 1 <= k+l <= 4 inside (0, t_end).
+    """The stops of the mesh: the delays inside (0, t_end).
 
-    Points within 1e-12 of each other are merged; anything within 1e-12
-    of t_end is dropped (the horizon itself is always a stop).
+    delays are ascending, as DiscreteDelayDde stores them. When y' jumps
+    at 0, as under a constant history, y'' jumps at each delay. A step
+    across a y'' jump has an O(h^3) local error, worse than the 3(2)
+    pair's O(h^4), so the mesh must land there. Sums of two or more
+    delays carry jumps in y''' and higher derivatives, which cost O(h^4)
+    or less and are left to the error estimate. Delays within 1e-12 of
+    each other are merged; anything within 1e-12 of t_end is dropped
+    (the horizon itself is always a stop).
     """
-    pts = {k * ti + l * tj
-           for ti, tj in itertools.combinations_with_replacement(delays, 2)
-           for k in range(_BREAKPOINT_ORDER + 1)
-           for l in range(_BREAKPOINT_ORDER + 1 - k) if k + l >= 1}
     merged = []
-    for s in sorted(x for x in pts if x < t_end - _BREAKPOINT_MERGE):
+    for s in delays:
+        if s >= t_end - _BREAKPOINT_MERGE:
+            break
         if not merged or s - merged[-1] > _BREAKPOINT_MERGE:
             merged.append(s)
     return merged
@@ -185,8 +188,7 @@ def solve(dde, t_end, opts=None):
     Steps are error-controlled by the embedded pair with the norm
     max_i |err_i| / (atol + rtol |y_i|); the step size is capped by
     opts.h_max and by the smallest delay, and the mesh lands exactly on
-    every delay-sum breakpoint up to order four so derivative
-    discontinuities never sit inside a step.
+    every delay, so no jump in y'' sits inside a step.
 
     Returns a Trajectory. Raises SolverError when the step budget is
     exhausted (before the first step when t_end exceeds max_steps * h_max),
@@ -236,10 +238,13 @@ def solve(dde, t_end, opts=None):
         if q_max <= 0.0:
             Z = np.empty(q.shape + (d,))
         else:
-            # queries past the last mesh point read its state; those at or
-            # below zero are overwritten from the history below
+            # queries past the last mesh point read its state; those below
+            # zero are overwritten from the history below, and clamping
+            # them first keeps the Hermite from extrapolating (which
+            # overflows when the first step is tiny)
             Z = _hermite(mesh[:n], states[:n], derivs[:n],
-                         np.minimum(q, t_last) if q_max > t_last else q)
+                         q.clip(0.0, t_last) if q_min < 0.0 or q_max > t_last
+                         else q)
         if q_min <= 0.0:
             for s, j in zip(*np.nonzero(q <= 0.0)):
                 Z[s, j] = history(float(q[s, j]))

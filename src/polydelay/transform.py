@@ -199,59 +199,3 @@ def nilpotent_exponential(A, t):
         term = (term @ A) * (t / j)
         out = out + term
     return out
-
-
-_NEWTON_TOL = 1e-12
-_NEWTON_MAX_ITER = 50
-
-
-def find_stationary(dde, guess):
-    """Damped Newton iteration for stationary points f(y*, y*) = 0.
-
-    In a stationary state the distributed integral of a delayed component
-    equals the component itself (the density integrates to one), so the
-    algebraic system is rhs(0, y, z) = 0 with z = y on the delayed
-    components. The Jacobian is forward-difference and the update is its
-    least-squares solution, so families of equilibria (singular
-    Jacobians) converge to a nearby family member; the step is halved
-    until the residual decreases. Returns y*; the auxiliary values of a
-    delayed component c are stationary_aux(y*[c], dde.weight). Raises
-    RuntimeError when the residual cannot be pushed below 1e-10.
-    """
-    d = dde.dimension
-    comps = sorted(dde.delayed_components)
-
-    def resid(y):
-        z = np.zeros(d)
-        z[comps] = y[comps]
-        return np.asarray(dde.rhs(0.0, y, z), dtype=float)
-
-    y = np.asarray(guess, dtype=float).copy()
-    r = resid(y)
-    for _ in range(_NEWTON_MAX_ITER):
-        rnorm = float(np.max(np.abs(r)))
-        if rnorm <= _NEWTON_TOL:
-            break
-        J = np.empty((d, d))
-        for j in range(d):
-            step = 1e-7 * max(1.0, abs(y[j]))
-            yp = y.copy()
-            yp[j] += step
-            J[:, j] = (resid(yp) - r) / step
-        dy = np.linalg.lstsq(J, -r, rcond=None)[0]
-        lam = 1.0
-        improved = False
-        while lam > 1e-6:
-            y_try = y + lam * dy
-            r_try = resid(y_try)
-            if float(np.max(np.abs(r_try))) < rnorm:
-                y, r = y_try, r_try
-                improved = True
-                break
-            lam *= 0.5
-        if not improved:
-            break
-    if float(np.max(np.abs(r))) > 1e-10:
-        raise RuntimeError(
-            "Newton iteration stalled at residual %g" % np.max(np.abs(r)))
-    return y

@@ -93,6 +93,12 @@ def test_equilibria_endemic_value(case_i_params):
     assert endemic[0] == pytest.approx(0.5, rel=1e-14)
     assert endemic[1] == pytest.approx(0.25, rel=1e-14)
     assert endemic.sum() == pytest.approx(1.0, abs=1e-15)
+    # both are stationary: the rhs vanishes with the delayed integral
+    # z = y* on component I (the density integrates to one)
+    rhs = pdl.sir_distributed(case_i_params).rhs
+    for y in points:
+        z = np.array([0.0, y[1], 0.0])
+        assert np.max(np.abs(rhs(0.0, y, z))) <= 1e-15
 
 
 def test_equilibria_without_endemic_branch():

@@ -12,14 +12,13 @@ from scipy.linalg import expm
 import polydelay as pdl
 
 
-def _scalar_distributed(weight, rhs=None, hist=None):
-    if rhs is None:
-        rhs = lambda t, y, z: np.array([-z[0]])
-    if hist is None:
-        hist = lambda t: np.array([1.0])
-    return pdl.DistributedDelayDde(dimension=1, rhs=rhs, weight=weight,
+def _scalar_distributed(weight):
+    # y' = -z with history 1
+    return pdl.DistributedDelayDde(dimension=1,
+                                   rhs=lambda t, y, z: np.array([-z[0]]),
+                                   weight=weight,
                                    delayed_components=frozenset({0}),
-                                   history=hist)
+                                   history=lambda t: np.array([1.0]))
 
 
 def test_scalar_uniform_assembly():
@@ -309,24 +308,6 @@ def test_nilpotent_exponential_exact_rational_oracle(n, t):
     want = _exact_exponential(n, t)
     scale = np.max(np.abs(want))
     assert np.max(np.abs(out - want)) <= 1e-14 * scale
-
-
-def test_find_stationary_on_sir(case_i_params):
-    dde = pdl.sir_distributed(case_i_params)
-    y = pdl.find_stationary(dde, np.array([0.6, 0.2, 0.2]))
-    z = np.zeros(3)
-    z[1] = y[1]
-    assert np.max(np.abs(dde.rhs(0.0, y, z))) <= 1e-10
-    # the equilibria are S = theta/sigma with I free, or I = 0
-    assert abs(y[0] - 0.5) <= 1e-6 or abs(y[1]) <= 1e-6
-
-
-def test_find_stationary_reports_failure():
-    w = pdl.beta_polynomial(0.0, 1.0, 0, 0)
-    dde = _scalar_distributed(w, rhs=lambda t, y, z: np.array(
-        [z[0] * z[0] + 1.0]))
-    with pytest.raises(RuntimeError):
-        pdl.find_stationary(dde, np.array([0.0]))
 
 
 def test_distributed_dde_validation():
