@@ -7,17 +7,19 @@ delay, so every delayed query of a step falls inside territory that is
 already accepted when the step starts (or in the history function for
 arguments at or below zero). The 3 * (number of delays) queries of an
 attempt are therefore answered at its start, with one searchsorted over
-the mesh and one vectorised Hermite evaluation. When the step size sits
-at its cap (h_max or the smallest delay), the next steps are predicted at
-that same size, as far as the next stop and the accepted mesh allow, and
-the queries of all of them go through one lookup. Each later attempt
-whose stage times equal the next predicted ones takes its delayed states
-from that block; since the Hermite is elementwise and no block query lies
-past the mesh end, they equal a per-attempt lookup bit for bit. Any other
-attempt (a rejection, a shrinking step, a landing on a stop) drops the
-block and looks up its own queries. Mesh, states and derivatives live in
-preallocated arrays that double when full, and the stages are checked
-for finiteness once per step, through the error norm.
+the mesh and one vectorised Hermite evaluation. An attempt at the step
+cap (h_max or the smallest delay) that neither lands on a stop nor
+halves the gap to one also predicts the next steps at that size, up to
+_RUN_STEPS of them and short of the next stop and the mesh end, and
+looks up the queries of the whole run at once. The run serves the
+following attempts while they stay at the cap: a rejection or a
+shrinking step leaves it, and no stop is near enough to cut a run step,
+so an attempt at the cap is the next predicted one. An in-order cumsum
+gives the loop's own start times, the Hermite is elementwise, and no run
+query passes the mesh end, so the run's values equal per-attempt
+lookups bit for bit. Mesh, states and derivatives live in preallocated
+arrays that double when full, and the stages are checked for finiteness
+once per step, through the error norm.
 When y' jumps at t = 0, as under a constant history, y'' jumps at each
 delay, and the mesh lands exactly there; the later jumps, at sums of
 delays, are in y''' and higher and are left to the error estimate.
@@ -42,11 +44,9 @@ _E = np.array([-5.0 / 72.0, 1.0 / 12.0, 1.0 / 9.0, -1.0 / 8.0])
 # rows of the mesh arrays before their first doubling
 _INITIAL_CAPACITY = 1024
 _BREAKPOINT_MERGE = 1e-12
-# Steps per block lookup: the first block after a miss predicts
-# _BLOCK_MIN steps, each later one twice as many, up to _BLOCK_MAX; a
-# block must hold at least two steps. A miss wastes at most one block.
-_BLOCK_MIN = 4
-_BLOCK_MAX = 128
+# Most steps one run lookup predicts; it bounds the lookup's memory. A
+# run must hold at least two steps, so 1 turns runs off.
+_RUN_STEPS = 128
 
 
 class SolverError(RuntimeError):
@@ -68,8 +68,8 @@ class DiscreteDelayDde:
         rhs(t, y, Z) -> length-d derivative; Z has one column per delay.
     history : callable
         history(t) -> length-d state for t <= 0. solve() may also call it
-        at times that a mispredicted run of steps never uses, so it must
-        be deterministic and free of side effects.
+        at times that a run of steps cut short never uses, so it must be
+        deterministic and free of side effects.
     """
 
     dimension: int
@@ -250,14 +250,14 @@ def solve(dde, t_end, opts=None):
                 Z[s, j] = history(float(q[s, j]))
         return Z.transpose(0, 2, 1)
 
-    def block(t, h, next_stop, count):
-        """Stage-time keys and delayed states, three rows per step, of up
-        to count steps of size h from t that stay short of next_stop by
-        more than 2h and whose queries stay below t; ((), None) when fewer
-        than two steps qualify."""
+    def run(t, h, next_stop):
+        """Delayed states, three rows per step, of up to _RUN_STEPS steps
+        of size h from t that stay short of next_stop by more than 2h and
+        whose queries stay below t; () when fewer than two steps
+        qualify."""
         # cumsum adds in order, so starts[k] is the float the step loop
         # reaches after k additions t + h
-        ends = np.full(count + 1, h)
+        ends = np.full(_RUN_STEPS + 1, h)
         ends[0] = t
         ends = ends.cumsum()
         starts = ends[:-1]
@@ -266,10 +266,10 @@ def solve(dde, t_end, opts=None):
         k = int(np.count_nonzero((ends[1:] - tau_min < t)
                                  & (h < 0.5 * (next_stop - starts))))
         if k < 2:
-            return (), None
+            return ()
         times = np.column_stack((starts[:k] + _C2 * h, starts[:k] + _C3 * h,
                                  ends[1:k + 1]))
-        return list(map(tuple, times.tolist())), delayed(times.ravel())
+        return delayed(times.ravel())
 
     def checked_rhs(t, y):
         out = np.asarray(rhs(t, y, delayed((t,))[0]), dtype=float)
@@ -302,11 +302,8 @@ def solve(dde, t_end, opts=None):
         h = min(100.0 * h0, h1, cap)
     atol, rtol = opts.atol, opts.rtol
     h_cap = min(opts.h_max, tau_min)
-    # the current block: keys[i] are the predicted (t2, t3, t_new) of its
-    # step i, and block_Z[3i:3i+3] their delayed states
-    keys, block_Z = (), None
-    pos = 0
-    block_len = _BLOCK_MIN
+    # delayed states of the current run's remaining steps, three rows each
+    run_Z = ()
     # stage derivatives; row 0 is the derivative at the current point
     K = np.empty((4, d))
     K[0] = f0
@@ -340,23 +337,14 @@ def solve(dde, t_end, opts=None):
         t2 = t + _C2 * h
         t3 = t + _C3 * h
         t_new = next_stop if on_stop else t + h
-        key = (t2, t3, t_new)
-        if not (pos < len(keys) and keys[pos] == key):
-            if pos < len(keys):
-                # the run broke off: a rejection, a shrinking step or a
-                # landing
-                block_len = _BLOCK_MIN
-            keys, pos = (), 0
-            if h == h_cap and not on_stop:
-                # a new block's first key is this attempt's
-                keys, block_Z = block(t, h, next_stop, block_len)
-                if keys:
-                    block_len = min(2 * block_len, _BLOCK_MAX)
-        if keys:
-            Z = block_Z[3 * pos:3 * pos + 3]
-            pos += 1
+        # an attempt below the cap ends the run: it follows a rejection or
+        # a shrinking step
+        if not (len(run_Z) and h == h_cap):
+            run_Z = run(t, h, next_stop) if h == h_cap and not on_stop else ()
+        if len(run_Z):
+            Z, run_Z = run_Z[:3], run_Z[3:]
         else:
-            Z = delayed(key)
+            Z = delayed((t2, t3, t_new))
         K[1] = rhs(t2, y + (_C2 * h) * K[0], Z[0])
         K[2] = rhs(t3, y + (_C3 * h) * K[1], Z[1])
         y_new = y + h * (_B @ K[:3])

@@ -79,8 +79,13 @@ class PolynomialWeight:
             raise ValueError("trailing coefficient must be nonzero")
         if not all(math.isfinite(c) for c in coeffs):
             raise ValueError("coefficients must be finite")
-        terms = [c * (b ** (i + 1) - a ** (i + 1)) / (i + 1)
-                 for i, c in enumerate(coeffs)]
+        try:
+            terms = [c * (b ** (i + 1) - a ** (i + 1)) / (i + 1)
+                     for i, c in enumerate(coeffs)]
+        except OverflowError:
+            raise ValueError(
+                "interval [%g, %g] out of range for a degree-%d density: its "
+                "mass overflows a float" % (a, b, len(coeffs) - 1)) from None
         mass = math.fsum(terms)
         tol = max(1e-12, 64.0 * _EPS * math.fsum(abs(t) for t in terms))
         if abs(mass - 1.0) > tol:
@@ -153,7 +158,13 @@ def beta_polynomial(a, b, p, q):
         for k in range(q + 1):
             ck = math.comb(q, k) * (-1) ** k * fb ** (q - k)
             coeffs[j + k] += cj * ck
-    return PolynomialWeight(a, b, tuple(float(const * c) for c in coeffs))
+    try:
+        coeffs = tuple(float(const * c) for c in coeffs)
+    except OverflowError:
+        raise ValueError(
+            "interval [%g, %g] out of range for p = %d, q = %d: the density "
+            "coefficients overflow a float" % (a, b, p, q)) from None
+    return PolynomialWeight(a, b, coeffs)
 
 
 def evaluate(w, tau):

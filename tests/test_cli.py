@@ -278,7 +278,7 @@ def test_exit_code_config_errors(tmp_path, capsys, monkeypatch):
         assert "unknown key" in err
     # the library constructors own the interval, rate and node-count checks
     for text in ("a = 150\nb = 30\n", "b = inf\n", "sigma = -1\n",
-                 "sigma = inf\n"):
+                 "sigma = inf\n", "a = 0\nb = 1e-62\n"):
         bad.write_text(text)
         code, _, err = _run(["solve", "--config", str(bad)], capsys)
         assert code == cli.EXIT_CONFIG, text

@@ -2,9 +2,11 @@
 behaviour of the continuous extension, and input validation."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import polydelay as pdl
 from polydelay import ddesolver
@@ -436,9 +438,9 @@ def test_long_solve_returns_exact_length_arrays():
 
 
 def _solve_with_and_without_blocks(monkeypatch, dde, t_end, opts):
-    """Solve once with block lookups and once with per-attempt lookups
+    """Solve once with run lookups and once with per-attempt lookups
     only; require identical trajectories and fewer Hermite evaluations
-    with blocks. Returns the blocked trajectory."""
+    with runs. Returns the trajectory with runs."""
     hermite = ddesolver._hermite
     calls = [0]
 
@@ -447,20 +449,19 @@ def _solve_with_and_without_blocks(monkeypatch, dde, t_end, opts):
         return hermite(*args)
 
     monkeypatch.setattr(ddesolver, "_hermite", counted)
-    blocked = pdl.solve(dde, t_end, opts)
-    blocked_calls = calls[0]
-    # a block holds at least two steps and grows only once built, so
-    # starting at one step builds none
-    monkeypatch.setattr(ddesolver, "_BLOCK_MIN", 1)
+    with_runs = pdl.solve(dde, t_end, opts)
+    run_calls = calls[0]
+    # a run holds at least two steps, so one step per run turns runs off
+    monkeypatch.setattr(ddesolver, "_RUN_STEPS", 1)
     calls[0] = 0
     per_step = pdl.solve(dde, t_end, opts)
-    assert blocked_calls < calls[0]
+    assert run_calls < calls[0]
     for name in ("mesh", "states", "derivs"):
-        assert np.array_equal(getattr(blocked, name),
+        assert np.array_equal(getattr(with_runs, name),
                               getattr(per_step, name)), name
-    assert blocked.steps_taken == per_step.steps_taken
-    assert blocked.steps_rejected == per_step.steps_rejected
-    return blocked
+    assert with_runs.steps_taken == per_step.steps_taken
+    assert with_runs.steps_rejected == per_step.steps_rejected
+    return with_runs
 
 
 def _scaled_sir():
@@ -471,7 +472,7 @@ def _scaled_sir():
 
 
 @pytest.mark.parametrize("problem, t_end, h_max", [
-    # h_max-bound, and past tau_max = 1, so early blocks read the history
+    # h_max-bound, and past tau_max = 1, so early runs read the history
     ("equivalent", 1.5, 1e-3),
     ("quadrature-m8", 1.5, 1e-3),
     # error control and h_max take turns setting the step
@@ -493,7 +494,8 @@ def test_block_lookups_equal_per_step_lookups(monkeypatch, problem, t_end,
 
 def test_rejection_inside_a_block_falls_back(monkeypatch):
     # forcing that switches on at t = 1.537, inside a run of h_max steps
-    # after the breakpoint 1; the h_max step across it is rejected
+    # after the breakpoint 1; the h_max step across it is rejected, which
+    # leaves the cap and ends the run
     def rhs(t, y, Z):
         return -Z[:, 0] + (50.0 if t > 1.537 else 0.0)
 
@@ -503,3 +505,29 @@ def test_rejection_inside_a_block_falls_back(monkeypatch):
     traj = _solve_with_and_without_blocks(monkeypatch, dde, 3.0, opts)
     assert traj.steps_rejected > 0
     assert np.all(np.diff(traj.mesh) > 0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(delays=st.lists(st.floats(0.05, 1.0), min_size=1, max_size=4,
+                       unique=True),
+       h_max=st.sampled_from([0.003, 0.01, 0.02, 0.05]),
+       switch=st.floats(0.0, 3.0),
+       rtol=st.sampled_from([1e-3, 1e-6]))
+def test_runs_equal_per_step_lookups(delays, h_max, switch, rtol):
+    # a run serves an attempt only while the step sits at its cap; the
+    # forcing switch rejects steps at random places inside runs
+    def rhs(t, y, Z):
+        return -Z.mean(axis=1) + (50.0 if t > switch else 0.0)
+
+    dde = pdl.DiscreteDelayDde(dimension=1, delays=tuple(delays), rhs=rhs,
+                               history=lambda t: np.array([1.0 + t]))
+    opts = pdl.SolverOptions(rtol=rtol, h_max=h_max)
+    with_runs = pdl.solve(dde, 3.0, opts)
+    # function-scoped fixtures such as monkeypatch do not reset between
+    # hypothesis examples, so patch here
+    with mock.patch.object(ddesolver, "_RUN_STEPS", 1):
+        per_step = pdl.solve(dde, 3.0, opts)
+    for name in ("mesh", "states", "derivs", "steps_taken",
+                 "steps_rejected"):
+        assert np.array_equal(getattr(with_runs, name),
+                              getattr(per_step, name)), name

@@ -1,5 +1,7 @@
 """Polynomial weight functions: construction, validation, moments."""
 
+import re
+
 import numpy as np
 import pytest
 from scipy import integrate, stats
@@ -124,6 +126,16 @@ def test_weight_rejects_bad_interval():
         pdl.beta_polynomial(30.0, float("inf"), 2, 2)
     with pytest.raises(ValueError, match="interval"):
         pdl.beta_polynomial(float("nan"), 150.0, 2, 2)
+
+
+@pytest.mark.parametrize("a, b, p, q", [
+    # the normalising constant 5!/(2! 2! b^5) is past the float range
+    (0.0, 1e-62, 2, 2),
+    # b^2 in the mass check is past the float range
+    (0.0, 1e160, 1, 0)])
+def test_beta_rejects_interval_that_overflows_the_density(a, b, p, q):
+    with pytest.raises(ValueError, match=re.escape("interval [0, %g]" % b)):
+        pdl.beta_polynomial(a, b, p, q)
 
 
 def test_weight_rejects_trailing_zero_coefficient():
