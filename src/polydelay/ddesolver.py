@@ -5,21 +5,21 @@ reuse and a cubic Hermite continuous extension. Delayed states are looked
 up by the method of steps: the step size never exceeds the smallest
 delay, so every delayed query of a step falls inside territory that is
 already accepted when the step starts (or in the history function for
-arguments at or below zero). The 3 * (number of delays) queries of an
-attempt are therefore answered at its start, with one searchsorted over
-the mesh and one vectorised Hermite evaluation. An attempt at the step
-cap (h_max or the smallest delay) that neither lands on a stop nor
-halves the gap to one also predicts the next steps at that size, up to
-_RUN_STEPS of them and short of the next stop and the mesh end, and
-looks up the queries of the whole run at once. The run serves the
-following attempts while they stay at the cap: a rejection or a
-shrinking step leaves it, and no stop is near enough to cut a run step,
-so an attempt at the cap is the next predicted one. An in-order cumsum
-gives the loop's own start times, the Hermite is elementwise, and no run
-query passes the mesh end, so the run's values equal per-attempt
-lookups bit for bit. Mesh, states and derivatives live in preallocated
-arrays that double when full, and the stages are checked for finiteness
-once per step, through the error norm.
+arguments at or below zero). Every attempt that no earlier lookup
+covers looks up the 3 * (number of delays) queries of its own stage
+times at its start, with one searchsorted over the mesh and one
+vectorised Hermite evaluation. An attempt at the step cap (h_max or the
+smallest delay) that neither lands on a stop nor halves the gap to one
+also looks up the following steps at that size in the same call, up to
+_RUN_STEPS steps in all and short of the next stop and the mesh end.
+The run serves the following attempts while they stay at the cap: a
+rejection or a shrinking step leaves it, and no stop is near enough to
+cut a run step, so an attempt at the cap is the next predicted one. An
+in-order cumsum gives the loop's own start times, the Hermite is
+elementwise, and no run query passes the mesh end, so the run's values
+equal per-attempt lookups bit for bit. Mesh, states and derivatives
+live in preallocated arrays that double when full, and the stages are
+checked for finiteness once per step, through the error norm.
 When y' jumps at t = 0, as under a constant history, y'' jumps at each
 delay, and the mesh lands exactly there; the later jumps, at sums of
 delays, are in y''' and higher and are left to the error estimate.
@@ -44,8 +44,8 @@ _E = np.array([-5.0 / 72.0, 1.0 / 12.0, 1.0 / 9.0, -1.0 / 8.0])
 # rows of the mesh arrays before their first doubling
 _INITIAL_CAPACITY = 1024
 _BREAKPOINT_MERGE = 1e-12
-# Most steps one run lookup predicts; it bounds the lookup's memory. A
-# run must hold at least two steps, so 1 turns runs off.
+# Most steps one run lookup covers; it bounds the lookup's memory. With 1
+# every lookup covers only the attempt that makes it.
 _RUN_STEPS = 128
 
 
@@ -192,7 +192,8 @@ def solve(dde, t_end, opts=None):
 
     Returns a Trajectory. Raises SolverError when the step budget is
     exhausted (before the first step when t_end exceeds max_steps * h_max),
-    the step size underflows, or the rhs returns non-finite values.
+    the step size underflows (a first step that rounds to zero among
+    them), or the rhs returns non-finite values.
     """
     if opts is None:
         opts = SolverOptions()
@@ -251,10 +252,10 @@ def solve(dde, t_end, opts=None):
         return Z.transpose(0, 2, 1)
 
     def run(t, h, next_stop):
-        """Delayed states, three rows per step, of up to _RUN_STEPS steps
-        of size h from t that stay short of next_stop by more than 2h and
-        whose queries stay below t; () when fewer than two steps
-        qualify."""
+        """Delayed states, three rows per step, of the step of size h
+        from t and of the following steps of that size, up to _RUN_STEPS
+        in all, while they stay short of next_stop by more than 2h and
+        their queries stay below t."""
         # cumsum adds in order, so starts[k] is the float the step loop
         # reaches after k additions t + h
         ends = np.full(_RUN_STEPS + 1, h)
@@ -263,10 +264,8 @@ def solve(dde, t_end, opts=None):
         starts = ends[:-1]
         # both conditions are monotone in k, so the passing steps are a
         # prefix of the run
-        k = int(np.count_nonzero((ends[1:] - tau_min < t)
-                                 & (h < 0.5 * (next_stop - starts))))
-        if k < 2:
-            return ()
+        k = max(1, int(np.count_nonzero((ends[1:] - tau_min < t)
+                                        & (h < 0.5 * (next_stop - starts)))))
         times = np.column_stack((starts[:k] + _C2 * h, starts[:k] + _C3 * h,
                                  ends[1:k + 1]))
         return delayed(times.ravel())
@@ -285,23 +284,27 @@ def solve(dde, t_end, opts=None):
     f0 = checked_rhs(0.0, y0)
     derivs[0] = f0
 
-    cap = min(opts.h_max, tau_min, stops[0])
+    # the step loop clamps every attempt, the first too, to h_cap and stops
+    h_cap = min(opts.h_max, tau_min)
     if opts.h_init is not None:
-        h = min(opts.h_init, cap)
+        h = opts.h_init
     else:
         # curvature probe: one Euler step at a crude first guess, then
-        # size from the larger of |f| and the observed df/dt
+        # size from the larger of |f| and the observed df/dt; the guess
+        # stays within tau_min, so its delayed query is sound
         scale = opts.atol + opts.rtol * np.abs(y0)
         d0 = float(np.max(np.abs(y0) / scale))
         d1 = float(np.max(np.abs(f0) / scale))
-        h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, cap)
+        h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1,
+                 h_cap, stops[0])
+        if not h0 > 0.0:
+            raise SolverError("step size underflow at t = 0")
         f1 = checked_rhs(h0, y0 + h0 * f0)
         dm = max(d1, float(np.max(np.abs(f1 - f0) / scale)) / h0)
         h1 = ((0.01 / dm) ** (1.0 / 3.0) if dm > 1e-15
               else max(1e-6, h0 * 1e-3))
-        h = min(100.0 * h0, h1, cap)
+        h = min(100.0 * h0, h1)
     atol, rtol = opts.atol, opts.rtol
-    h_cap = min(opts.h_max, tau_min)
     # delayed states of the current run's remaining steps, three rows each
     run_Z = ()
     # stage derivatives; row 0 is the derivative at the current point
@@ -331,7 +334,7 @@ def solve(dde, t_end, opts=None):
             on_stop = True
         elif h >= 0.5 * remaining:
             h = 0.5 * remaining
-        if h < 1e3 * _EPS * abs(t):
+        if h <= 1e3 * _EPS * abs(t):
             raise SolverError("step size underflow at t = %.17g" % t)
 
         t2 = t + _C2 * h
@@ -340,11 +343,9 @@ def solve(dde, t_end, opts=None):
         # an attempt below the cap ends the run: it follows a rejection or
         # a shrinking step
         if not (len(run_Z) and h == h_cap):
-            run_Z = run(t, h, next_stop) if h == h_cap and not on_stop else ()
-        if len(run_Z):
-            Z, run_Z = run_Z[:3], run_Z[3:]
-        else:
-            Z = delayed((t2, t3, t_new))
+            run_Z = (run(t, h, next_stop) if h == h_cap and not on_stop
+                     else delayed((t2, t3, t_new)))
+        Z, run_Z = run_Z[:3], run_Z[3:]
         K[1] = rhs(t2, y + (_C2 * h) * K[0], Z[0])
         K[2] = rhs(t3, y + (_C3 * h) * K[1], Z[1])
         y_new = y + h * (_B @ K[:3])

@@ -108,30 +108,23 @@ def build_equivalent(dde):
     bpow = b ** np.arange(n + 1)
     chain = np.arange(1, n + 1)
     degenerate = a == 0.0
-    offsets = {c: d + (n + 1) * k for k, c in enumerate(comps)}
     base_rhs = dde.rhs
     base_hist = dde.history
 
     def rhs(t, Y, Z):
         y = Y[:d]
+        # the last column is y(t - b) in both delay layouts
+        y_a = y if degenerate else Z[:d, 0]
+        y_b = Z[:d, -1]
         z = np.zeros(d)
-        for c in comps:
-            o = offsets[c]
-            z[c] = alpha @ Y[o:o + n + 1]
         dY = np.empty(dim)
-        dY[:d] = base_rhs(t, y, z)
-        if degenerate:
-            y_a = y
-            y_b = Z[:d, 0]
-        else:
-            y_a = Z[:d, 0]
-            y_b = Z[:d, 1]
-        for c in comps:
-            o = offsets[c]
+        for o, c in zip(range(d, dim, n + 1), comps):
             x = Y[o:o + n + 1]
+            z[c] = alpha @ x
             dx = y_a[c] * apow - y_b[c] * bpow
             dx[1:] += chain * x[:-1]
             dY[o:o + n + 1] = dx
+        dY[:d] = base_rhs(t, y, z)
         return dY
 
     x0_full = np.concatenate([

@@ -351,7 +351,7 @@ def test_failed_write_exits_config_error(capsys):
     assert err.count("\n") == 1
 
 
-def test_exit_code_solver_failure(capsys, monkeypatch):
+def test_exit_code_solver_failure(tmp_path, capsys, monkeypatch):
     # t/b = 6.67 in steps of at most 1e-6 needs 6.7e6 steps: refused
     # before the first step
     code, _, err = _run(["solve", "--preset", "case-i", "--hmax", "1e-6"],
@@ -363,6 +363,20 @@ def test_exit_code_solver_failure(capsys, monkeypatch):
     code, _, err = _run(["solve", "--preset", "case-i"], capsys)
     assert code == cli.EXIT_SOLVER
     assert "solver failure" in err
+    # t/b = 1e-297: the first step rounds to zero, through an overflow in
+    # the curvature probe's df/dt or, with these tolerances, in |f|
+    cfg = tmp_path / "zero.cfg"
+    cfg.write_text("a = 0\nb = 1e300\np = 0\nq = 0\n")
+    code, _, err = _run(["solve", "--preset", "case-i", "--config",
+                         str(cfg)], capsys)
+    assert code == cli.EXIT_SOLVER
+    assert "step size underflow at t = 0" in err
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        code, _, err = _run(["solve", "--preset", "case-i", "--config",
+                             str(cfg), "--rtol", "1e-13", "--atol",
+                             "1e-300"], capsys)
+    assert code == cli.EXIT_SOLVER
+    assert "step size underflow at t = 0" in err
 
 
 def test_exit_code_numerical_error(capsys, monkeypatch):

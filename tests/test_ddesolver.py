@@ -1,6 +1,7 @@
 """Method-of-steps integrator: hand-computed benchmark values, order
 behaviour of the continuous extension, and input validation."""
 
+import dataclasses
 import math
 from unittest import mock
 
@@ -273,6 +274,14 @@ def test_step_size_underflow_raises_solver_error():
         history=lambda t: np.array([1.0]))
     with pytest.raises(pdl.SolverError, match="underflow"):
         pdl.solve(dde, 1.0, pdl.SolverOptions(max_steps=10000))
+    # y' = 1e300 y: the curvature probe overflows and the first step
+    # rounds to zero, which must raise at t = 0 instead of taking
+    # zero-length steps until the budget runs out
+    dde = pdl.DiscreteDelayDde(
+        dimension=1, delays=(1.0,), rhs=lambda t, y, Z: 1e300 * y,
+        history=lambda t: np.array([1.0]))
+    with pytest.raises(pdl.SolverError, match="underflow at t = 0"):
+        pdl.solve(dde, 1.0, pdl.SolverOptions(max_steps=1000))
 
 
 def test_nonfinite_rhs_raises_solver_error():
@@ -437,30 +446,55 @@ def test_long_solve_returns_exact_length_arrays():
     assert np.all(np.diff(traj.mesh) > 0.0)
 
 
+def _assert_served_states_exact(dde, traj, stages):
+    """Every recorded stage (t, Z) has Z[:, j] equal, bit for bit, to
+    the trajectory's continuous extension at t - delays[j], or to the
+    history there at or below 0. Holds while no step reaches the
+    smallest delay, where a query past the mesh end is clamped."""
+    Zs = np.array([Z for _, Z in stages])
+    q = np.subtract.outer([t for t, _ in stages], dde.delays)
+    expected = np.empty_like(Zs)
+    past = q > 0.0
+    expected.transpose(0, 2, 1)[past] = pdl.dense_eval(traj, q[past])
+    for s, j in zip(*np.nonzero(~past)):
+        expected[s, :, j] = dde.history(q[s, j])
+    assert np.array_equal(Zs, expected)
+
+
 def _solve_with_and_without_blocks(monkeypatch, dde, t_end, opts):
     """Solve once with run lookups and once with per-attempt lookups
-    only; require identical trajectories and fewer Hermite evaluations
-    with runs. Returns the trajectory with runs."""
+    only; require identical trajectories, fewer Hermite evaluations with
+    runs, and delayed states that match an independent dense evaluation.
+    Returns the trajectory with runs."""
     hermite = ddesolver._hermite
     calls = [0]
+    stages = []
 
     def counted(*args):
         calls[0] += 1
         return hermite(*args)
 
+    def recording(t, y, Z):
+        stages.append((t, Z.copy()))
+        return dde.rhs(t, y, Z)
+
+    recorded = dataclasses.replace(dde, rhs=recording)
     monkeypatch.setattr(ddesolver, "_hermite", counted)
-    with_runs = pdl.solve(dde, t_end, opts)
+    with_runs = pdl.solve(recorded, t_end, opts)
     run_calls = calls[0]
-    # a run holds at least two steps, so one step per run turns runs off
+    run_stages, stages = stages, []
+    # every lookup then covers only the attempt that makes it
     monkeypatch.setattr(ddesolver, "_RUN_STEPS", 1)
     calls[0] = 0
-    per_step = pdl.solve(dde, t_end, opts)
+    per_step = pdl.solve(recorded, t_end, opts)
     assert run_calls < calls[0]
     for name in ("mesh", "states", "derivs"):
         assert np.array_equal(getattr(with_runs, name),
                               getattr(per_step, name)), name
     assert with_runs.steps_taken == per_step.steps_taken
     assert with_runs.steps_rejected == per_step.steps_rejected
+    _assert_served_states_exact(dde, with_runs, run_stages)
+    _assert_served_states_exact(dde, per_step, stages)
     return with_runs
 
 
