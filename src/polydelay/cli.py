@@ -20,7 +20,6 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-# dense_eval is not called here; it stays importable for tracing harnesses
 from .ddesolver import SolverError, SolverOptions, dense_eval, sample, solve
 from .models import SirParameters, sir_distributed, sir_equilibrium
 from .quadrature import build_quadrature_dde, gauss_jacobi
@@ -30,6 +29,10 @@ from .weightfn import beta_polynomial, moment
 # Step budget for CLI-driven solves; module level so harnesses can lower
 # it to exercise failure handling.
 MAX_STEPS = 1000000
+
+# Rows sampled and formatted at a time while `solve` writes its CSV, so
+# the output's memory does not grow with the sample count.
+_BLOCK_ROWS = 1024
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -182,9 +185,12 @@ def _sir_base(config):
 def run_solve(config):
     """Solve the configured experiment.
 
-    Returns (header, rows, info): CSV header names, a (samples, 1 + dim)
-    array whose first column is the time rescaled back to original time,
-    and a dict with the step counters."""
+    The solve runs here, so a solver failure raises before any output is
+    opened; the sampling waits for the caller. Returns (header, blocks,
+    info): CSV header names, a generator of row blocks of at most
+    _BLOCK_ROWS rows over the samples-point grid of `sample`, each row the
+    time rescaled back to original time followed by the state, and a dict
+    with the step counters."""
     base, t_end = _sir_base(config)
     if config.variant == "equivalent":
         system = build_equivalent(base)
@@ -195,9 +201,11 @@ def run_solve(config):
         aux_names = []
     header = ["t", "S", "I", "R"] + aux_names
     traj = solve(dde, t_end, _solver_options(config))
-    ts, states = sample(traj, config.samples)
-    rows = np.column_stack((ts * config.b, states))
-    return header, rows, {"steps_taken": traj.steps_taken,
+    ts = np.linspace(traj.mesh[0], traj.mesh[-1], config.samples)
+    blocks = (np.column_stack((t * config.b, dense_eval(traj, t)))
+              for t in np.split(ts, range(_BLOCK_ROWS, config.samples,
+                                          _BLOCK_ROWS)))
+    return header, blocks, {"steps_taken": traj.steps_taken,
                           "steps_rejected": traj.steps_rejected}
 
 
@@ -274,9 +282,9 @@ def _fmt(value):
 
 @contextmanager
 def _output(path):
-    # path None is standard output; a path is opened here so numpy never
-    # picks a compressed format from its suffix, and only once there is
-    # output, so a failed run leaves an existing file untouched
+    # path None is standard output; a path is opened only once the run
+    # has returned, after the solve, so a failed solve leaves an existing
+    # file untouched; a solve's rows are sampled while they are written
     try:
         if path is None:
             yield sys.stdout
@@ -296,14 +304,20 @@ def _output(path):
             "standard output" if path is None else path, exc))
 
 
-def write_csv(header, rows, path=None):
-    """Emit rows as CSV with 17-significant-digit floats.
+def write_csv(header, blocks, path=None):
+    """Emit the header, then each block of rows, as CSV with
+    17-significant-digit floats.
 
-    path None writes to standard output. Identical inputs produce
+    blocks is an iterable of 2-d arrays (or lists of rows), each formatted
+    as it arrives, so a generator's blocks are computed while the file is
+    written. path None writes to standard output. Identical inputs produce
     byte-identical files."""
     with _output(path) as fh:
-        np.savetxt(fh, rows, fmt=_FMT, delimiter=",",
-                   header=",".join(header), comments="")
+        fh.write(",".join(header) + "\n")
+        for block in blocks:
+            block = np.asarray(block)
+            line = ",".join([_FMT] * block.shape[1]) + "\n"
+            fh.write((line * len(block)) % tuple(block.ravel().tolist()))
 
 
 def _emit_lines(lines, path=None):
@@ -377,15 +391,15 @@ def main(argv=None):
             rtol=args.rtol, atol=args.atol, h_max=args.h_max,
             t_end=args.t_end, samples=args.samples)
         if args.command == "solve":
-            header, rows, info = run_solve(config)
-            write_csv(header, rows, args.out)
+            header, blocks, info = run_solve(config)
+            write_csv(header, blocks, args.out)
             print("steps taken: %d, rejected: %d"
                   % (info["steps_taken"], info["steps_rejected"]),
                   file=sys.stderr)
         elif args.command == "convergence":
             diffs, reference_steps = run_convergence(config, m_flag)
             write_csv(["m", "dS", "dI", "dR"],
-                      np.column_stack((m_flag, diffs)), args.out)
+                      [np.column_stack((m_flag, diffs))], args.out)
             print("reference solve: %d steps, grid %d points"
                   % (reference_steps, config.samples), file=sys.stderr)
         elif args.command == "quad":

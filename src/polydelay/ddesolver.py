@@ -291,10 +291,12 @@ def solve(dde, t_end, opts=None):
     else:
         # curvature probe: one Euler step at a crude first guess, then
         # size from the larger of |f| and the observed df/dt; the guess
-        # stays within tau_min, so its delayed query is sound
+        # stays within tau_min, so its delayed query is sound; an infinite
+        # norm sizes h0 to 0, which fails below
         scale = opts.atol + opts.rtol * np.abs(y0)
-        d0 = float(np.max(np.abs(y0) / scale))
-        d1 = float(np.max(np.abs(f0) / scale))
+        with np.errstate(over="ignore"):
+            d0 = float(np.max(np.abs(y0) / scale))
+            d1 = float(np.max(np.abs(f0) / scale))
         h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1,
                  h_cap, stops[0])
         if not h0 > 0.0:

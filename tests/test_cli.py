@@ -1,6 +1,7 @@
 """Command-line front end: config assembly, CSV contract, exit codes."""
 
 import dataclasses
+import io
 import math
 import os
 import subprocess
@@ -141,17 +142,25 @@ def test_out_flag_matches_stdout(tmp_path, capsys):
 
 
 def test_write_csv_cells_are_fmt_of_each_value(tmp_path, capsys):
-    # the cells numpy writes are exactly _fmt of each value, also for
-    # signed zero, non-finite values, a subnormal and an integer column
+    # the cells are exactly _fmt of each value, also for signed zero,
+    # non-finite values, a subnormal and an integer column
     header = ["m", "a", "b", "c"]
     rows = [[1, -0.0, math.inf, math.nan],
             [12, -math.inf, 5e-324, 2.2250738585072014e-308 / 3.0],
             [3, 0.1, -1.0 / 3.0, 1e300]]
-    cli.write_csv(header, rows)
+    cli.write_csv(header, [rows])
     out = capsys.readouterr().out
     target = tmp_path / "cells.csv"
-    cli.write_csv(header, rows, str(target))
+    cli.write_csv(header, [rows], str(target))
     assert target.read_bytes() == out.encode()
+    # the same bytes however the rows are split into blocks, and the
+    # same bytes as numpy's savetxt
+    cli.write_csv(header, [rows[:1], rows[1:]])
+    assert capsys.readouterr().out == out
+    oracle = io.StringIO()
+    np.savetxt(oracle, rows, fmt="%.17g", delimiter=",",
+               header=",".join(header), comments="")
+    assert oracle.getvalue() == out
     lines = out.split("\n")
     assert lines[0] == "m,a,b,c"
     assert lines[-1] == ""
@@ -159,6 +168,36 @@ def test_write_csv_cells_are_fmt_of_each_value(tmp_path, capsys):
     assert cells == [[cli._fmt(v) for v in row] for row in rows]
     assert cells[0] == ["1", "-0", "inf", "nan"]
     assert cells[1][:3] == ["12", "-inf", "4.9406564584124654e-324"]
+
+
+def test_solve_blocks_equal_sample(tmp_path, capsys, monkeypatch):
+    trajs = []
+
+    def keep_solve(*args):
+        trajs.append(pdl.solve(*args))
+        return trajs[-1]
+
+    monkeypatch.setattr(cli, "solve", keep_solve)
+    for k in (2, cli._BLOCK_ROWS, cli._BLOCK_ROWS + 1,
+              2 * cli._BLOCK_ROWS + 3):
+        config = cli.assemble_config(preset="case-i", t_end=60.0, samples=k)
+        _, blocks, _ = cli.run_solve(config)
+        blocks = list(blocks)
+        assert all(len(block) <= cli._BLOCK_ROWS for block in blocks)
+        ts, states = pdl.sample(trajs[-1], k)
+        rows = np.concatenate(blocks)
+        expected = np.column_stack((ts * config.b, states))
+        assert rows.shape == expected.shape
+        assert rows.tobytes() == expected.tobytes()
+    # the solve runs before the output is opened, so a failed solve
+    # leaves an existing file as it was
+    target = tmp_path / "earlier.csv"
+    target.write_bytes(b"t,S\n0,1\n")
+    monkeypatch.setattr(cli, "MAX_STEPS", 10)
+    code, _, _ = _run(["solve", "--preset", "case-i", "--out",
+                       str(target)], capsys)
+    assert code == cli.EXIT_SOLVER
+    assert target.read_bytes() == b"t,S\n0,1\n"
 
 
 def test_quad_table_case_i_single_node(capsys):
@@ -364,19 +403,20 @@ def test_exit_code_solver_failure(tmp_path, capsys, monkeypatch):
     assert code == cli.EXIT_SOLVER
     assert "solver failure" in err
     # t/b = 1e-297: the first step rounds to zero, through an overflow in
-    # the curvature probe's df/dt or, with these tolerances, in |f|
+    # the curvature probe's df/dt or, with these tolerances, in |f|; the
+    # overflow is the failure's one line, not a numpy warning
     cfg = tmp_path / "zero.cfg"
     cfg.write_text("a = 0\nb = 1e300\np = 0\nq = 0\n")
     code, _, err = _run(["solve", "--preset", "case-i", "--config",
                          str(cfg)], capsys)
     assert code == cli.EXIT_SOLVER
     assert "step size underflow at t = 0" in err
-    with pytest.warns(RuntimeWarning, match="overflow"):
-        code, _, err = _run(["solve", "--preset", "case-i", "--config",
-                             str(cfg), "--rtol", "1e-13", "--atol",
-                             "1e-300"], capsys)
+    code, _, err = _run(["solve", "--preset", "case-i", "--config",
+                         str(cfg), "--rtol", "1e-13", "--atol", "1e-300"],
+                        capsys)
     assert code == cli.EXIT_SOLVER
     assert "step size underflow at t = 0" in err
+    assert err.count("\n") == 1
 
 
 def test_exit_code_numerical_error(capsys, monkeypatch):
