@@ -14,8 +14,8 @@ from .ddesolver import (DiscreteDelayDde, SolverError, SolverOptions,
                         Trajectory, dense_eval, sample, solve)
 from .models import (SirParameters, sir_conserved, sir_distributed,
                      sir_equilibrium)
-from .quadrature import (QuadratureRule, apply, build_quadrature_dde,
-                         gauss_jacobi, gauss_legendre)
+from .quadrature import (MAX_NODES, QuadratureRule, apply,
+                         build_quadrature_dde, gauss_jacobi, gauss_legendre)
 from .transform import (DistributedDelayDde, EquivalentSystem,
                         aux_initial_values, build_equivalent,
                         nilpotent_exponential, scale_distributed,
@@ -29,8 +29,8 @@ __all__ = [
     "DiscreteDelayDde", "SolverError", "SolverOptions", "Trajectory",
     "dense_eval", "sample", "solve",
     "SirParameters", "sir_conserved", "sir_distributed", "sir_equilibrium",
-    "QuadratureRule", "apply", "build_quadrature_dde", "gauss_jacobi",
-    "gauss_legendre",
+    "MAX_NODES", "QuadratureRule", "apply", "build_quadrature_dde",
+    "gauss_jacobi", "gauss_legendre",
     "DistributedDelayDde", "EquivalentSystem", "aux_initial_values",
     "build_equivalent",
     "nilpotent_exponential", "scale_distributed",

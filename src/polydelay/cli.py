@@ -222,9 +222,9 @@ def run_convergence(config, m_list):
         raise ConfigError("node counts must be ascending and distinct")
     opts = _solver_options(config)
     base, t_end = _sir_base(config)
-    # every rule is built before the first solve, so a bad node count
-    # fails at once
-    quads = [_quadrature_dde(config, base, m) for m in m_list]
+    # every rule is built before the first solve, the largest first, so a
+    # bad node count, or one over the rule's bound, fails at once
+    quads = [_quadrature_dde(config, base, m) for m in m_list[::-1]][::-1]
     system = build_equivalent(base)
     ref = solve(system.assembled, t_end, opts)
     ref_vals = sample(ref, config.samples)[1][:, :3]
@@ -237,9 +237,10 @@ def run_convergence(config, m_list):
     return np.array([one_m(dde) for dde in quads]), ref.steps_taken
 
 
-def run_quad_table(config, m):
+def run_quad_table(config):
     """Rule table for the configured density: nodes, weights, and the
-    exactness residuals for i = 0..2m-1. Returns the printed lines."""
+    exactness residuals for i = 0..2m-1, m = config.m; returns the lines."""
+    m = config.m
     with _config_values():
         weight = beta_polynomial(config.a, config.b, config.p, config.q)
         rule = gauss_jacobi(m, config.p, config.q, config.a, config.b)
@@ -325,71 +326,66 @@ def _emit_lines(lines, path=None):
         fh.write("\n".join(lines) + "\n")
 
 
-def _add_common_flags(sub):
-    # preset and variant are validated downstream so that a bad value
-    # reaches the ConfigError -> exit code 2 path instead of an argparse
-    # SystemExit
-    sub.add_argument("--preset", metavar="NAME",
-                     help="named parameter set to start from: %s"
-                          % ", ".join(sorted(PRESETS)))
-    sub.add_argument("--config", metavar="PATH",
-                     help="key=value config file applied over the preset")
-    sub.add_argument("--variant", metavar="KIND",
-                     help="discretisation: %s" % " or ".join(_VARIANTS))
-    sub.add_argument("--m", metavar="M",
-                     help="quadrature node count; for `convergence` a "
-                          "comma list or a single count meaning 1..M")
-    sub.add_argument("--rtol", type=float, help="relative tolerance")
-    sub.add_argument("--atol", type=float, help="absolute tolerance")
-    sub.add_argument("--hmax", type=float, dest="h_max",
-                     help="maximum step size (in integration time)")
-    sub.add_argument("--t-end", type=float, dest="t_end",
-                     help="horizon in original (unscaled) time")
-    sub.add_argument("--samples", type=int, help="output grid size")
-    sub.add_argument("--out", metavar="PATH",
-                     help="CSV output path (default: standard output)")
+def _node_counts(text):
+    # convergence's --m: a comma list, or M meaning 1..M
+    try:
+        return ([int(part) for part in text.split(",")] if "," in text
+                else list(range(1, int(text) + 1)))
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid node counts: %r" % text)
 
 
 def _build_parser():
+    # each subcommand takes only the flags it reads; preset and variant
+    # are validated downstream, so a bad value gets the library's message
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--preset", metavar="NAME",
+                        help="named parameter set to start from: %s"
+                             % ", ".join(sorted(PRESETS)))
+    common.add_argument("--config", metavar="PATH",
+                        help="key=value config file applied over the preset")
+    common.add_argument("--out", metavar="PATH",
+                        help="output path (default: standard output)")
+    nodes = argparse.ArgumentParser(add_help=False)
+    nodes.add_argument("--m", type=int, help="quadrature node count")
+    steps = argparse.ArgumentParser(add_help=False)
+    steps.add_argument("--rtol", type=float, help="relative tolerance")
+    steps.add_argument("--atol", type=float, help="absolute tolerance")
+    steps.add_argument("--hmax", type=float, dest="h_max",
+                       help="maximum step size (in integration time)")
+    steps.add_argument("--t-end", type=float, dest="t_end",
+                       help="horizon in original (unscaled) time")
+    steps.add_argument("--samples", type=int, help="output grid size")
+
     parser = argparse.ArgumentParser(
         prog="polydelay",
         description="Distributed-delay DDE experiments: equivalent "
                     "two-delay systems and quadrature discretisations.")
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, text in (
-            ("solve", "integrate one experiment and emit the sampled CSV"),
-            ("convergence", "quadrature-vs-equivalent difference study"),
-            ("quad", "print a quadrature rule and exactness residuals"),
-            ("stationary", "print model equilibria")):
-        _add_common_flags(subs.add_parser(name, help=text))
+    subs.add_parser(
+        "solve", parents=[common, nodes, steps],
+        help="integrate one experiment and emit the sampled CSV",
+    ).add_argument("--variant", metavar="KIND",
+                   help="discretisation: %s" % " or ".join(_VARIANTS))
+    subs.add_parser(
+        "convergence", parents=[common, steps],
+        help="quadrature-vs-equivalent difference study",
+    ).add_argument("--m", type=_node_counts, default="8", dest="m_list",
+                   metavar="M", help="node counts: a comma list, or M "
+                                     "meaning 1..M (default 8)")
+    subs.add_parser("quad", parents=[common, nodes],
+                    help="print a quadrature rule and exactness residuals")
+    subs.add_parser("stationary", parents=[common],
+                    help="print model equilibria")
     return parser
-
-
-def _parse_m(text, study):
-    """--m as one node count, or for a study the list of counts: a comma
-    list, or M meaning 1..M (1..8 when absent)."""
-    if text is None:
-        return list(range(1, 9)) if study else None
-    try:
-        if study and "," in text:
-            return [int(part) for part in text.split(",")]
-        m = int(text)
-    except ValueError:
-        raise ConfigError("--m must be an integer%s, got %r"
-                          % (" or comma list" if study else "", text))
-    return list(range(1, m + 1)) if study else m
 
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
-    study = args.command == "convergence"
     try:
-        m_flag = _parse_m(args.m, study)
         config = assemble_config(
-            preset=args.preset, config_path=args.config,
-            variant=args.variant, m=None if study else m_flag,
-            rtol=args.rtol, atol=args.atol, h_max=args.h_max,
-            t_end=args.t_end, samples=args.samples)
+            args.preset, args.config,
+            **{k: v for k, v in vars(args).items() if k in _FIELD_TYPES})
         if args.command == "solve":
             header, blocks, info = run_solve(config)
             write_csv(header, blocks, args.out)
@@ -397,13 +393,13 @@ def main(argv=None):
                   % (info["steps_taken"], info["steps_rejected"]),
                   file=sys.stderr)
         elif args.command == "convergence":
-            diffs, reference_steps = run_convergence(config, m_flag)
+            diffs, reference_steps = run_convergence(config, args.m_list)
             write_csv(["m", "dS", "dI", "dR"],
-                      [np.column_stack((m_flag, diffs))], args.out)
+                      [np.column_stack((args.m_list, diffs))], args.out)
             print("reference solve: %d steps, grid %d points"
                   % (reference_steps, config.samples), file=sys.stderr)
         elif args.command == "quad":
-            _emit_lines(run_quad_table(config, config.m), args.out)
+            _emit_lines(run_quad_table(config), args.out)
         elif args.command == "stationary":
             _emit_lines(run_stationary(config), args.out)
     except ConfigError as exc:

@@ -191,7 +191,8 @@ def solve(dde, t_end, opts=None):
     every delay, so no jump in y'' sits inside a step.
 
     Returns a Trajectory. Raises SolverError when the step budget is
-    exhausted (before the first step when t_end exceeds max_steps * h_max),
+    exhausted (before the first step when t_end exceeds max_steps times
+    min(h_max, smallest delay)),
     the step size underflows (a first step that rounds to zero among
     them), or the rhs returns non-finite values.
     """
@@ -199,16 +200,19 @@ def solve(dde, t_end, opts=None):
         opts = SolverOptions()
     if not 0.0 < t_end < math.inf:
         raise ValueError("t_end must be positive and finite")
-    # no attempt advances more than h_max; the margin keeps a horizon that
-    # fits the budget exactly from being rejected for rounding
-    if t_end > opts.h_max * opts.max_steps * (1.0 + 1e-6):
-        raise SolverError(
-            "step budget of %d cannot reach t = %g with h_max = %g"
-            % (opts.max_steps, t_end, opts.h_max))
     d = dde.dimension
     delays = np.array(dde.delays)
     tau_min, tau_max = ((dde.delays[0], dde.delays[-1]) if dde.delays
                         else (math.inf, 0.0))
+    # the step loop clamps every attempt, the first too, to h_cap and
+    # stops; the margin keeps a horizon that fits the budget exactly from
+    # being rejected for rounding
+    h_cap = min(opts.h_max, tau_min)
+    if t_end > h_cap * opts.max_steps * (1.0 + 1e-6):
+        raise SolverError(
+            "step budget of %d cannot reach t = %g with steps of at most "
+            "min(h_max, smallest delay) = %g"
+            % (opts.max_steps, t_end, h_cap))
     history = dde.history
     rhs = dde.rhs
 
@@ -284,8 +288,6 @@ def solve(dde, t_end, opts=None):
     f0 = checked_rhs(0.0, y0)
     derivs[0] = f0
 
-    # the step loop clamps every attempt, the first too, to h_cap and stops
-    h_cap = min(opts.h_max, tau_min)
     if opts.h_init is not None:
         h = opts.h_init
     else:

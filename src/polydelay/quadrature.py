@@ -52,11 +52,17 @@ class QuadratureRule:
             raise ValueError("weights must sum to one")
 
 
+# Hard cap on the node count. A rule solves a dense m x m eigenproblem,
+# O(m^2) memory and O(m^3) time: about 0.3 s at the cap.
+MAX_NODES = 1000
+
+
 def _check_rule_args(m, a, b):
     if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
         raise TypeError("node count m must be an integer")
-    if m < 1:
-        raise ValueError("node count m must be at least 1")
+    if not 1 <= m <= MAX_NODES:
+        raise ValueError("node count m must lie in [1, %d], got %d"
+                         % (MAX_NODES, m))
     a = float(a)
     b = float(b)
     if not -math.inf < a < b < math.inf:

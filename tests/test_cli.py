@@ -90,9 +90,37 @@ def test_assemble_config_rejects_unknown_preset():
 
 
 def _run(args, capsys):
-    code = cli.main(args)
+    # argparse reports a usage error by raising SystemExit(2)
+    try:
+        code = cli.main(args)
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+_FLAG_VALUES = {"--preset": "case-i", "--config": "run.cfg",
+                "--out": "run.csv", "--variant": "quadrature", "--m": "3",
+                "--rtol": "1e-7", "--atol": "1e-9", "--hmax": "0.01",
+                "--t-end": "30", "--samples": "5"}
+_TAKES = {"solve": set(_FLAG_VALUES),
+          "convergence": set(_FLAG_VALUES) - {"--variant"},
+          "quad": {"--preset", "--config", "--out", "--m"},
+          "stationary": {"--preset", "--config", "--out"}}
+
+
+@pytest.mark.parametrize("command,flag", [
+    (command, flag) for command in _TAKES for flag in _FLAG_VALUES])
+def test_subcommands_take_only_the_flags_they_read(command, flag, capsys):
+    argv = [command, flag, _FLAG_VALUES[flag]]
+    if flag in _TAKES[command]:
+        parsed = vars(cli._build_parser().parse_args(argv))
+        assert parsed != vars(cli._build_parser().parse_args([command]))
+    else:
+        code, out, err = _run(argv, capsys)
+        assert code == cli.EXIT_CONFIG
+        assert out == ""
+        assert "unrecognized arguments: %s" % flag in err
 
 
 def test_solve_case_i_csv_columns(capsys):
@@ -349,6 +377,32 @@ def test_exit_code_config_errors(tmp_path, capsys, monkeypatch):
     assert "config error" in err
 
 
+def test_node_count_over_the_bound_is_a_config_error(capsys, monkeypatch):
+    code, out, err = _run(["quad", "--preset", "case-i", "--m", "20000"],
+                          capsys)
+    assert code == cli.EXIT_CONFIG
+    assert out == ""
+    assert "config error: node count m must lie in [1, %d]" \
+        % pdl.MAX_NODES in err
+    # the largest count is checked before any rule or solve is built
+    built = []
+
+    def keep_rule(m, *args):
+        built.append(m)
+        return pdl.gauss_jacobi(m, *args)
+
+    def no_solve(dde, t_end, opts):
+        raise AssertionError("solve reached with a node count over the bound")
+
+    monkeypatch.setattr(cli, "gauss_jacobi", keep_rule)
+    monkeypatch.setattr(cli, "solve", no_solve)
+    code, _, err = _run(["convergence", "--preset", "case-i", "--m",
+                         "100000"], capsys)
+    assert code == cli.EXIT_CONFIG
+    assert "must lie in [1, %d]" % pdl.MAX_NODES in err
+    assert built == [100000]
+
+
 def test_closed_stdout_pipe_exits_quietly():
     # 20000 rows are several times a 64 KiB pipe buffer, so writes fail
     # once the reader has gone, as with `polydelay solve ... | head -n 1`
@@ -398,6 +452,12 @@ def test_exit_code_solver_failure(tmp_path, capsys, monkeypatch):
     assert code == cli.EXIT_SOLVER
     assert "cannot reach" in err
     assert "solver time is t/b, b = 150 days" in err
+    # without h_max the smallest delay, 30 / 150 = 0.2 in t/b, caps the
+    # steps: 4e7 days is t/b = 2.7e5, more than 1e6 steps of 0.2
+    code, _, err = _run(["solve", "--preset", "case-i", "--hmax", "inf",
+                         "--t-end", "4e7"], capsys)
+    assert code == cli.EXIT_SOLVER
+    assert "min(h_max, smallest delay) = 0.2 " in err
     monkeypatch.setattr(cli, "MAX_STEPS", 10)
     code, _, err = _run(["solve", "--preset", "case-i"], capsys)
     assert code == cli.EXIT_SOLVER

@@ -295,12 +295,14 @@ def test_nonfinite_rhs_raises_solver_error():
 
 
 def test_step_budget_enforced():
-    opts = pdl.SolverOptions(max_steps=3)
-    with pytest.raises(pdl.SolverError):
+    # five steps of at most the delay 1 could reach t = 4, but error
+    # control needs more, so the budget runs out inside the loop
+    opts = pdl.SolverOptions(max_steps=5)
+    with pytest.raises(pdl.SolverError, match="exhausted"):
         pdl.solve(_benchmark(), 4.0, opts)
 
-    # a horizon beyond max_steps * h_max fails before the first rhs call;
-    # one that fits exactly (eight steps of 0.5 to t = 4) is solved
+    # a horizon beyond max_steps * min(h_max, smallest delay) fails before
+    # the first rhs call; one that fits exactly is solved
     calls = []
 
     def rhs(t, y, Z):
@@ -316,6 +318,14 @@ def test_step_budget_enforced():
     traj = pdl.solve(dde, 4.0, pdl.SolverOptions(h_max=0.5, h_init=0.5,
                                                  max_steps=8))
     assert traj.steps_taken == 8
+    # without h_max the delay caps the steps: four of 1 reach t = 4
+    calls.clear()
+    with pytest.raises(pdl.SolverError,
+                       match="min\\(h_max, smallest delay\\) = 1$"):
+        pdl.solve(dde, 4.0, pdl.SolverOptions(h_init=1.0, max_steps=3))
+    assert calls == []
+    traj = pdl.solve(dde, 4.0, pdl.SolverOptions(h_init=1.0, max_steps=4))
+    assert traj.steps_taken == 4
 
 
 def test_nonfinite_rhs_mid_run_raises_solver_error():

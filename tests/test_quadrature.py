@@ -118,6 +118,16 @@ def test_rule_argument_validation():
             pdl.gauss_jacobi(2, 2, 2, a, b)
 
 
+def test_node_count_bound():
+    # the dense eigenproblem costs O(m^2) memory and O(m^3) time, so the
+    # count is capped; the cap itself still builds
+    assert pdl.gauss_jacobi(pdl.MAX_NODES, 0, 0, 0, 1).nodes.size \
+        == pdl.MAX_NODES
+    with pytest.raises(ValueError, match="must lie in \\[1, %d\\]"
+                       % pdl.MAX_NODES):
+        pdl.gauss_jacobi(pdl.MAX_NODES + 1, 2, 2, 30, 150)
+
+
 def test_rule_rejects_nonfinite_nodes_and_weights():
     # nan compares false, so it would slip past the ordering checks
     with pytest.raises(ValueError, match="finite"):
