@@ -95,11 +95,17 @@ PRESETS = {
 _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
 
 
-def parse_config_file(path):
+def parse_config_file(path, command="solve"):
     """Read key=value overrides; '#' starts a comment, blanks are skipped.
 
+    Only keys that the subcommand reads are known (solve reads them all).
     Unknown keys and unparseable values raise ConfigError with the file
     name and line number."""
+    # the keys of the subcommand's flags, and the model keys, which no
+    # flag sets; quad reads no rates
+    flags = vars(_build_parser().parse_args([command]))
+    keys = flags.keys() & _FIELD_TYPES.keys() | {"a", "b", "p", "q"} | (
+        set() if command == "quad" else {"sigma", "theta"})
     overrides = {}
     try:
         fh = open(path)
@@ -117,9 +123,9 @@ def parse_config_file(path):
             key, _, value = line.partition("=")
             key = key.strip()
             value = value.strip()
-            if key not in _FIELD_TYPES:
-                raise ConfigError(
-                    "%s, line %d: unknown key %r" % (path, lineno, key))
+            if key not in keys:
+                raise ConfigError("%s, line %d: unknown key %r for %s"
+                                  % (path, lineno, key, command))
             try:
                 overrides[key] = _FIELD_TYPES[key](value)
             except ValueError:
@@ -129,7 +135,8 @@ def parse_config_file(path):
     return overrides
 
 
-def assemble_config(preset=None, config_path=None, **flag_overrides):
+def assemble_config(preset=None, config_path=None, command="solve",
+                    **flag_overrides):
     """Merge defaults, preset, config file, and flags into a config."""
     if preset is not None:
         if preset not in PRESETS:
@@ -140,7 +147,7 @@ def assemble_config(preset=None, config_path=None, **flag_overrides):
     else:
         config = ExperimentConfig()
     if config_path is not None:
-        config = replace(config, **parse_config_file(config_path))
+        config = replace(config, **parse_config_file(config_path, command))
     overrides = {k: v for k, v in flag_overrides.items() if v is not None}
     if overrides:
         config = replace(config, **overrides)
@@ -384,7 +391,7 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         config = assemble_config(
-            args.preset, args.config,
+            args.preset, args.config, args.command,
             **{k: v for k, v in vars(args).items() if k in _FIELD_TYPES})
         if args.command == "solve":
             header, blocks, info = run_solve(config)

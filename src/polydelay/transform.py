@@ -11,7 +11,7 @@ sum_i alpha_i x_i(t). The pair (y, x) therefore solves an ordinary DDE
 with just the two discrete delays a and b. This module builds that
 augmented system, its auxiliary initial and stationary values, the time
 scaling t -> t/b, and the nilpotent structure matrix of the auxiliary
-block.
+block, with which the rhs gets each chain and its integral in one product.
 """
 
 from dataclasses import dataclass
@@ -95,7 +95,8 @@ def build_equivalent(dde):
     The auxiliary chains start from aux_initial_values of the history.
     The assembled DDE has dimension d + (n+1) * #delayed and
     delays {a, b}, or just {b} when a = 0 since a zero lag is the current
-    state.
+    state. The rhs gets each chain's derivative and its integral alpha . x
+    from one product by a constant block built on structure_matrix(n).
     """
     w = dde.weight
     a, b = w.a, w.b
@@ -103,28 +104,27 @@ def build_equivalent(dde):
     d = dde.dimension
     comps = sorted(dde.delayed_components)
     dim = d + (n + 1) * len(comps)
-    alpha = np.array(w.coeffs)
-    apow = a ** np.arange(n + 1)
-    bpow = b ** np.arange(n + 1)
-    chain = np.arange(1, n + 1)
+    # (x_0..x_n, y_c(t-a), y_c(t-b)) @ M = (x_0'..x_n', alpha . x)
+    M = np.zeros((n + 3, n + 2))
+    M[:n + 1] = np.column_stack((structure_matrix(n).T, w.coeffs))
+    M[n + 1:, :n + 1] = a ** np.arange(n + 1), -b ** np.arange(n + 1)
     degenerate = a == 0.0
     base_rhs = dde.rhs
     base_hist = dde.history
 
     def rhs(t, Y, Z):
-        y = Y[:d]
-        # the last column is y(t - b) in both delay layouts
-        y_a = y if degenerate else Z[:d, 0]
-        y_b = Z[:d, -1]
         z = np.zeros(d)
         dY = np.empty(dim)
+        v = np.empty(n + 3)
         for o, c in zip(range(d, dim, n + 1), comps):
-            x = Y[o:o + n + 1]
-            z[c] = alpha @ x
-            dx = y_a[c] * apow - y_b[c] * bpow
-            dx[1:] += chain * x[:-1]
-            dY[o:o + n + 1] = dx
-        dY[:d] = base_rhs(t, y, z)
+            v[:-2] = Y[o:o + n + 1]
+            # a = 0 reads the current state; y(t - b) is the last column
+            v[-2] = Y[c] if degenerate else Z[c, 0]
+            v[-1] = Z[c, -1]
+            out = v @ M
+            dY[o:o + n + 1] = out[:-1]
+            z[c] = out[-1]
+        dY[:d] = base_rhs(t, Y[:d], z)
         return dY
 
     x0_full = np.concatenate([

@@ -84,6 +84,45 @@ def test_assemble_config_precedence(tmp_path):
     assert (config.a, config.b) == (150.0, 250.0)
 
 
+_MODEL_KEYS = {"sigma", "theta", "a", "b", "p", "q"}
+_STEP_KEYS = {"rtol", "atol", "h_max", "t_end", "samples"}
+_READS = {"solve": _MODEL_KEYS | _STEP_KEYS | {"m", "variant"},
+          "convergence": _MODEL_KEYS | _STEP_KEYS,
+          "quad": {"a", "b", "p", "q", "m"},
+          "stationary": _MODEL_KEYS}
+
+
+@pytest.mark.parametrize("command,key", [
+    (command, f.name) for command in _READS
+    for f in dataclasses.fields(cli.ExperimentConfig)])
+def test_config_file_takes_only_the_keys_its_subcommand_reads(
+        command, key, tmp_path):
+    path = tmp_path / "run.cfg"
+    value = getattr(cli.ExperimentConfig(), key)
+    path.write_text("# %s\n%s = %s\n" % (command, key, value))
+    if key in _READS[command]:
+        assert cli.parse_config_file(str(path), command) == {key: value}
+    else:
+        with pytest.raises(cli.ConfigError,
+                           match="line 2: unknown key '%s' for %s"
+                           % (key, command)):
+            cli.parse_config_file(str(path), command)
+
+
+@pytest.mark.parametrize("command,line", [
+    ("convergence", "m = 6"), ("convergence", "variant = quadrature"),
+    ("stationary", "rtol = 1e-9"), ("quad", "sigma = 0.2")])
+def test_unread_config_key_exits_2(command, line, tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text("a = 30\n%s\n" % line)
+    code, out, err = _run([command, "--preset", "case-i", "--config",
+                           str(path)], capsys)
+    assert code == cli.EXIT_CONFIG
+    assert out == ""
+    key = line.split(" = ")[0]
+    assert "line 2: unknown key %r for %s" % (key, command) in err
+
+
 def test_assemble_config_rejects_unknown_preset():
     with pytest.raises(cli.ConfigError):
         cli.assemble_config(preset="case-iii")

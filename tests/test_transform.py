@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
 from scipy.linalg import expm
 
@@ -105,6 +106,65 @@ def test_two_delayed_components_match_quadrature_and_direct_moments():
         direct = (b - a) * ((rule.weights * past[:, c]) @ powers)
         block = state[3 + 4 * k:7 + 4 * k]
         assert np.max(np.abs(block - direct)) <= 1e-8, c
+
+
+def _chain_loop(Y, Z, d, comps, alpha, apow, bpow, base):
+    # reference for the assembled rhs: one chain at a time, x_i' =
+    # a^i y_c(t-a) - b^i y_c(t-b) + i x_{i-1} and z_c = alpha . x; with a
+    # single delay column (a = 0) the a-terms read the current state
+    n = len(alpha) - 1
+    y_a = Y[:d] if Z.shape[1] == 1 else Z[:d, 0]
+    y_b = Z[:d, -1]
+    z = np.zeros(d)
+    dY = np.empty(len(Y))
+    for o, c in zip(range(d, len(Y), n + 1), comps):
+        x = Y[o:o + n + 1]
+        z[c] = alpha @ x
+        dx = y_a[c] * apow - y_b[c] * bpow
+        dx[1:] += np.arange(1, n + 1) * x[:-1]
+        dY[o:o + n + 1] = dx
+    dY[:d] = base(Y[:d], z)
+    return dY
+
+
+@settings(max_examples=80, deadline=None)
+@given(a=st.one_of(st.just(0.0), st.floats(0.05, 2.0)),
+       width=st.floats(0.1, 2.0), p=st.integers(0, 4), q=st.integers(0, 4),
+       comps=st.lists(st.integers(0, 2), min_size=1, max_size=2,
+                      unique=True),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_assembled_rhs_matches_chain_loop(a, width, p, q, comps, seed):
+    w = pdl.beta_polynomial(a, a + width, p, q)
+    n = w.degree
+    dde = pdl.DistributedDelayDde(
+        dimension=3, rhs=lambda t, y, z: z - y, weight=w,
+        delayed_components=frozenset(comps), history=lambda t: np.ones(3))
+    assembled = pdl.build_equivalent(dde).assembled
+    comps = sorted(comps)
+    dim = 3 + (n + 1) * len(comps)
+    assert assembled.dimension == dim
+    rng = np.random.default_rng(seed)
+
+    def draw(shape):
+        return rng.uniform(-1.0, 1.0, shape) * 10.0 ** rng.uniform(-3, 3,
+                                                                   shape)
+
+    Y = draw(dim)
+    Z = draw((dim, len(assembled.delays)))
+    alpha = np.array(w.coeffs)
+    apow = w.a ** np.arange(n + 1)
+    bpow = w.b ** np.arange(n + 1)
+    ref = _chain_loop(Y, Z, 3, comps, alpha, apow, bpow,
+                      lambda y, z: z - y)
+    # the same loop on absolute values, with the b-terms and y added,
+    # gives sum |terms| of each entry; each side sums at most n + 3
+    # products and then subtracts y, so each is within (n + 4) u of that
+    # sum (u = eps / 2, Higham's dot-product bound) and they differ by at
+    # most (n + 4) eps of it
+    scale = _chain_loop(np.abs(Y), np.abs(Z), 3, comps, np.abs(alpha),
+                        apow, -bpow, lambda y, z: z + y)
+    got = assembled.rhs(0.0, Y, Z)
+    assert np.all(np.abs(got - ref) <= (n + 4) * np.finfo(float).eps * scale)
 
 
 def test_sir_equivalent_dimension(case_i_params):
