@@ -16,8 +16,8 @@ from .models import (SirParameters, sir_conserved, sir_distributed,
                      sir_equilibrium)
 from .quadrature import (MAX_NODES, QuadratureRule, apply,
                          build_quadrature_dde, gauss_jacobi, gauss_legendre)
-from .transform import (DistributedDelayDde, EquivalentSystem,
-                        aux_initial_values, build_equivalent,
+from .transform import (MAX_EQUIVALENT_DEGREE, DistributedDelayDde,
+                        EquivalentSystem, aux_initial_values, build_equivalent,
                         nilpotent_exponential, scale_distributed,
                         stationary_aux, structure_matrix)
 from .weightfn import (MAX_DEGREE, PolynomialWeight, beta_polynomial,
@@ -31,8 +31,8 @@ __all__ = [
     "SirParameters", "sir_conserved", "sir_distributed", "sir_equilibrium",
     "MAX_NODES", "QuadratureRule", "apply", "build_quadrature_dde",
     "gauss_jacobi", "gauss_legendre",
-    "DistributedDelayDde", "EquivalentSystem", "aux_initial_values",
-    "build_equivalent",
+    "MAX_EQUIVALENT_DEGREE", "DistributedDelayDde", "EquivalentSystem",
+    "aux_initial_values", "build_equivalent",
     "nilpotent_exponential", "scale_distributed",
     "stationary_aux", "structure_matrix",
     "MAX_DEGREE", "PolynomialWeight", "beta_polynomial", "evaluate",

@@ -46,6 +46,16 @@ class ConfigError(Exception):
     """Invalid configuration input (file, flags, or their combination)."""
 
 
+@contextmanager
+def _config_values():
+    # the values come from the configuration, so a ValueError or TypeError
+    # raised while turning them into model objects is a config error
+    try:
+        yield
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Complete description of one experiment run.
@@ -75,10 +85,8 @@ class ExperimentConfig:
             raise ConfigError("t_end must be positive and finite")
         if self.samples < 2:
             raise ConfigError("samples must be at least 2")
-        try:
+        with _config_values():
             SolverOptions(rtol=self.rtol, atol=self.atol, h_max=self.h_max)
-        except ValueError as exc:
-            raise ConfigError(str(exc))
 
 
 # The named presets are the two published experiment setups: delay
@@ -159,34 +167,24 @@ def _solver_options(config):
                          h_max=config.h_max, max_steps=MAX_STEPS)
 
 
-@contextmanager
-def _config_values():
-    # the values come from the configuration, so a ValueError or TypeError
-    # raised while turning them into model objects is a config error
-    try:
-        yield
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _sir_params(config):
+def _problem(config):
+    # (params, base, t_end): the SIR parameters, and the model and horizon
+    # in the scaled time t/b, where the largest delay is 1
     with _config_values():
         weight = beta_polynomial(config.a, config.b, config.p, config.q)
-        return SirParameters(sigma=config.sigma, theta=config.theta,
-                             weight=weight, y0=(0.99, 0.01, 0.0))
+        params = SirParameters(sigma=config.sigma, theta=config.theta,
+                               weight=weight, y0=(0.99, 0.01, 0.0))
+        return (params, scale_distributed(sir_distributed(params)),
+                config.t_end / config.b)
 
 
-def _quadrature_dde(config, base, m):
+def _route(config, base, m=None):
+    # the assembled equivalent DDE, or the m-node quadrature DDE
     with _config_values():
-        rule = gauss_jacobi(m, config.p, config.q, base.weight.a,
-                            base.weight.b)
-    return build_quadrature_dde(base, rule)
-
-
-def _sir_base(config):
-    # the scaled model and horizon: time t/b, where the largest delay is 1
-    base = scale_distributed(sir_distributed(_sir_params(config)))
-    return base, config.t_end / config.b
+        if m is None:
+            return build_equivalent(base).assembled
+        return build_quadrature_dde(base, gauss_jacobi(
+            m, config.p, config.q, base.weight.a, base.weight.b))
 
 
 def run_solve(config):
@@ -198,15 +196,11 @@ def run_solve(config):
     _BLOCK_ROWS rows over the samples-point grid of `sample`, each row the
     time rescaled back to original time followed by the state, and a dict
     with the step counters."""
-    base, t_end = _sir_base(config)
-    if config.variant == "equivalent":
-        system = build_equivalent(base)
-        dde = system.assembled
-        aux_names = ["x%d" % i for i in range(system.degree + 1)]
-    else:
-        dde = _quadrature_dde(config, base, config.m)
-        aux_names = []
-    header = ["t", "S", "I", "R"] + aux_names
+    _, base, t_end = _problem(config)
+    dde = _route(config, base,
+                 config.m if config.variant == "quadrature" else None)
+    # the equivalent route appends the auxiliary chain x_0..x_n
+    header = "t S I R".split() + ["x%d" % i for i in range(dde.dimension - 3)]
     traj = solve(dde, t_end, _solver_options(config))
     ts = np.linspace(traj.mesh[0], traj.mesh[-1], config.samples)
     blocks = (np.column_stack((t * config.b, dense_eval(traj, t)))
@@ -228,12 +222,11 @@ def run_convergence(config, m_list):
     if list(m_list) != sorted(set(int(m) for m in m_list)):
         raise ConfigError("node counts must be ascending and distinct")
     opts = _solver_options(config)
-    base, t_end = _sir_base(config)
-    # every rule is built before the first solve, the largest first, so a
-    # bad node count, or one over the rule's bound, fails at once
-    quads = [_quadrature_dde(config, base, m) for m in m_list[::-1]][::-1]
-    system = build_equivalent(base)
-    ref = solve(system.assembled, t_end, opts)
+    _, base, t_end = _problem(config)
+    # every DDE is built before the first solve, the largest rule first,
+    # so a bad node count, or one over the rule's bound, fails at once
+    quads = [_route(config, base, m) for m in m_list[::-1]][::-1]
+    ref = solve(_route(config, base), t_end, opts)
     ref_vals = sample(ref, config.samples)[1][:, :3]
 
     def one_m(dde):
@@ -248,9 +241,10 @@ def run_quad_table(config):
     """Rule table for the configured density: nodes, weights, and the
     exactness residuals for i = 0..2m-1, m = config.m; returns the lines."""
     m = config.m
+    # the rule of the unscaled density, in days
+    weight = _problem(config)[0].weight
     with _config_values():
-        weight = beta_polynomial(config.a, config.b, config.p, config.q)
-        rule = gauss_jacobi(m, config.p, config.q, config.a, config.b)
+        rule = gauss_jacobi(m, config.p, config.q, weight.a, weight.b)
     lines = ["# %d-node rule for the degree-%d density on [%s, %s]"
              % (m, weight.degree, _fmt(config.a), _fmt(config.b)),
              "node,weight"]
@@ -270,11 +264,12 @@ def run_quad_table(config):
 
 
 def run_stationary(config):
-    """Equilibria of the configured model as printable lines."""
-    params = _sir_params(config)
+    """Equilibria of the configured model as printable lines; the aux
+    values are the scaled moments x_i / b^{i+1} that solve integrates."""
+    params, base, _ = _problem(config)
     lines = []
     for name, y in zip(("disease-free", "endemic"), sir_equilibrium(params)):
-        aux = stationary_aux(y[1], params.weight)
+        aux = stationary_aux(y[1], base.weight)
         lines += ["%s: S=%s I=%s R=%s" % (name, *map(_fmt, y)),
                   "  aux: %s" % " ".join(map(_fmt, aux))]
     return lines

@@ -43,6 +43,8 @@ _E = np.array([-5.0 / 72.0, 1.0 / 12.0, 1.0 / 9.0, -1.0 / 8.0])
 
 # rows of the mesh arrays before their first doubling
 _INITIAL_CAPACITY = 1024
+# Resolution of the mesh stops: DiscreteDelayDde rejects delays closer
+# than this, and a delay this close to the horizon is not a stop.
 _BREAKPOINT_MERGE = 1e-12
 # Most steps one run lookup covers; it bounds the lookup's memory. With 1
 # every lookup covers only the attempt that makes it.
@@ -62,8 +64,8 @@ class DiscreteDelayDde:
     dimension : int
         State dimension d.
     delays : tuple of float
-        Strictly positive, finite, pairwise distinct lags; stored sorted
-        ascending.
+        Strictly positive, finite lags, each more than 1e-12 above the
+        next smaller one; stored sorted ascending.
     rhs : callable
         rhs(t, y, Z) -> length-d derivative; Z has one column per delay.
     history : callable
@@ -83,8 +85,8 @@ class DiscreteDelayDde:
         delays = tuple(sorted(float(tau) for tau in self.delays))
         if not all(0.0 < tau < math.inf for tau in delays):
             raise ValueError("delays must be strictly positive and finite")
-        if any(t1 <= t0 for t0, t1 in zip(delays, delays[1:])):
-            raise ValueError("delays must be pairwise distinct")
+        if np.any(np.diff(delays) <= _BREAKPOINT_MERGE):
+            raise ValueError("delays must lie more than 1e-12 apart")
         object.__setattr__(self, "delays", delays)
 
 
@@ -169,17 +171,10 @@ def _breakpoints(delays, t_end):
     across a y'' jump has an O(h^3) local error, worse than the 3(2)
     pair's O(h^4), so the mesh must land there. Sums of two or more
     delays carry jumps in y''' and higher derivatives, which cost O(h^4)
-    or less and are left to the error estimate. Delays within 1e-12 of
-    each other are merged; anything within 1e-12 of t_end is dropped
-    (the horizon itself is always a stop).
+    or less and are left to the error estimate. A delay within 1e-12 of
+    t_end is dropped (the horizon itself is always a stop).
     """
-    merged = []
-    for s in delays:
-        if s >= t_end - _BREAKPOINT_MERGE:
-            break
-        if not merged or s - merged[-1] > _BREAKPOINT_MERGE:
-            merged.append(s)
-    return merged
+    return [s for s in delays if s < t_end - _BREAKPOINT_MERGE]
 
 
 def solve(dde, t_end, opts=None):
@@ -282,8 +277,7 @@ def solve(dde, t_end, opts=None):
             raise SolverError("non-finite right-hand side at t = %g" % t)
         return out
 
-    stops = _breakpoints(dde.delays, t_end)
-    stops.append(t_end)
+    stops = _breakpoints(dde.delays, t_end) + [t_end]
 
     f0 = checked_rhs(0.0, y0)
     derivs[0] = f0

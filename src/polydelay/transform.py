@@ -22,6 +22,10 @@ from .ddesolver import DiscreteDelayDde
 from .quadrature import gauss_legendre
 from .weightfn import PolynomialWeight, rescale_to_unit
 
+# Largest weight degree build_equivalent accepts: the chain drifts off its
+# invariant like t^n, and past degree 4 the drift outgrows solver accuracy.
+MAX_EQUIVALENT_DEGREE = 4
+
 
 @dataclass(frozen=True)
 class DistributedDelayDde:
@@ -97,10 +101,15 @@ def build_equivalent(dde):
     delays {a, b}, or just {b} when a = 0 since a zero lag is the current
     state. The rhs gets each chain's derivative and its integral alpha . x
     from one product by a constant block built on structure_matrix(n).
+    Weights of degree above MAX_EQUIVALENT_DEGREE raise ValueError.
     """
     w = dde.weight
     a, b = w.a, w.b
     n = w.degree
+    if n > MAX_EQUIVALENT_DEGREE:
+        raise ValueError("degree %d is above %d, the largest the equivalent "
+                         "system takes; use the quadrature variant"
+                         % (n, MAX_EQUIVALENT_DEGREE))
     d = dde.dimension
     comps = sorted(dde.delayed_components)
     dim = d + (n + 1) * len(comps)

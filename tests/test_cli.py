@@ -300,7 +300,8 @@ def test_stationary_lines(capsys):
     assert lines[0] == "disease-free: S=1 I=0 R=0"
     assert lines[2] == "endemic: S=0.5 I=0.25 R=0.25"
     # the auxiliary values are the stationary closed form at I* = 0, 0.25
-    weight = pdl.beta_polynomial(30.0, 150.0, 2, 2)
+    # of the chain that solve integrates, in the scaled time t/b
+    weight = pdl.rescale_to_unit(pdl.beta_polynomial(30.0, 150.0, 2, 2))
     for line, i_star in ((lines[1], 0.0), (lines[3], 0.25)):
         assert line == "  aux: " + " ".join(
             cli._fmt(v) for v in pdl.stationary_aux(i_star, weight))
@@ -414,6 +415,37 @@ def test_exit_code_config_errors(tmp_path, capsys, monkeypatch):
                         capsys)
     assert code == cli.EXIT_CONFIG
     assert "config error" in err
+
+
+@pytest.mark.parametrize("command",
+                         ["solve", "convergence", "stationary", "quad"])
+def test_every_subcommand_rejects_what_the_scaled_model_cannot_hold(
+        command, tmp_path, capsys):
+    # the unscaled density passes its checks, its rescaling to [a/b, 1]
+    # does not; every subcommand builds the same scaled problem
+    path = tmp_path / "narrow.cfg"
+    path.write_text("a = 5\nb = 5.000000000001\np = 0\nq = 0\n")
+    code, out, err = _run([command, "--preset", "case-i", "--config",
+                           str(path)], capsys)
+    assert code == cli.EXIT_CONFIG
+    assert out == ""
+    assert "config error: density must integrate to one" in err
+
+
+def test_equivalent_degree_over_the_bound_is_a_config_error(tmp_path,
+                                                            capsys):
+    path = tmp_path / "deg30.cfg"
+    path.write_text("p = 15\nq = 15\n")
+    args = ["solve", "--preset", "case-ii", "--t-end", "10", "--config",
+            str(path)]
+    code, out, err = _run(args, capsys)
+    assert code == cli.EXIT_CONFIG
+    assert out == ""
+    assert "degree 30 is above 4" in err and "quadrature" in err
+    code, out, _ = _run(args + ["--variant", "quadrature", "--m", "8"],
+                        capsys)
+    assert code == cli.EXIT_OK
+    assert out.startswith("t,S,I,R\n")
 
 
 def test_node_count_over_the_bound_is_a_config_error(capsys, monkeypatch):

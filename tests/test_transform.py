@@ -129,12 +129,16 @@ def _chain_loop(Y, Z, d, comps, alpha, apow, bpow, base):
 
 @settings(max_examples=80, deadline=None)
 @given(a=st.one_of(st.just(0.0), st.floats(0.05, 2.0)),
-       width=st.floats(0.1, 2.0), p=st.integers(0, 4), q=st.integers(0, 4),
+       width=st.floats(0.1, 2.0),
+       pq=st.integers(0, pdl.MAX_EQUIVALENT_DEGREE).flatmap(
+           lambda n: st.tuples(st.integers(0, n), st.just(n))),
        comps=st.lists(st.integers(0, 2), min_size=1, max_size=2,
                       unique=True),
        seed=st.integers(0, 2 ** 32 - 1))
-def test_assembled_rhs_matches_chain_loop(a, width, p, q, comps, seed):
-    w = pdl.beta_polynomial(a, a + width, p, q)
+def test_assembled_rhs_matches_chain_loop(a, width, pq, comps, seed):
+    # p + q runs over every degree build_equivalent takes
+    p, degree = pq
+    w = pdl.beta_polynomial(a, a + width, p, degree - p)
     n = w.degree
     dde = pdl.DistributedDelayDde(
         dimension=3, rhs=lambda t, y, z: z - y, weight=w,
@@ -165,6 +169,21 @@ def test_assembled_rhs_matches_chain_loop(a, width, p, q, comps, seed):
                         apow, -bpow, lambda y, z: z + y)
     got = assembled.rhs(0.0, Y, Z)
     assert np.all(np.abs(got - ref) <= (n + 4) * np.finfo(float).eps * scale)
+
+
+@pytest.mark.parametrize("a", [0.0, 30.0])
+def test_equivalent_degree_bound(a):
+    # past MAX_EQUIVALENT_DEGREE the chain's drift outgrows the solver's
+    # accuracy, so the route refuses rather than answering
+    assert pdl.MAX_EQUIVALENT_DEGREE == 4
+    for p, q in ((2, 2), (0, 4), (4, 0)):
+        w = pdl.beta_polynomial(a, 150.0, p, q)
+        assert pdl.build_equivalent(_scalar_distributed(w)).degree == 4
+    for p, q in ((3, 2), (2, 3), (4, 4), (15, 15)):
+        w = pdl.beta_polynomial(a, 150.0, p, q)
+        with pytest.raises(ValueError, match="degree %d is above 4.*"
+                                             "quadrature" % (p + q)):
+            pdl.build_equivalent(_scalar_distributed(w))
 
 
 def test_sir_equivalent_dimension(case_i_params):
