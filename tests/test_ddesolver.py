@@ -231,11 +231,14 @@ _M8_NODES = tuple(pdl.gauss_jacobi(8, 2, 2, 0.2, 1.0).nodes)
 @pytest.mark.parametrize("delays, t_end, want", [
     (_M8_NODES, 20.0 / 3.0, list(_M8_NODES)),
     ((0.2, 1.0), 20.0 / 3.0, [0.2, 1.0]),
+    ((0.5, 0.5 + 1e-13), 2.0, [0.5, 0.5 + 1e-13]),
     ((0.5, 2.0 - 1e-13, 3.0), 2.0, [0.5])],
-    ids=["quadrature-m8", "two-delays", "past-horizon"])
+    ids=["quadrature-m8", "two-delays", "merged-pair", "past-horizon"])
 def test_breakpoints_are_the_delays_below_the_horizon(delays, t_end, want):
     # only the delays themselves: sums of delays carry jumps in y''' and
-    # higher derivatives, which the 3(2) pair's error estimate covers
+    # higher derivatives, which the 3(2) pair's error estimate covers.
+    # Nothing is merged: a pair closer than 1e-12 stays two stops here,
+    # because DiscreteDelayDde rejects such pairs (test_dde_validation).
     assert _breakpoints(delays, t_end) == want
 
 
