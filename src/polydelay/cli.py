@@ -202,10 +202,18 @@ def run_solve(config):
     # the equivalent route appends the auxiliary chain x_0..x_n
     header = "t S I R".split() + ["x%d" % i for i in range(dde.dimension - 3)]
     traj = solve(dde, t_end, _solver_options(config))
-    ts = np.linspace(traj.mesh[0], traj.mesh[-1], config.samples)
-    blocks = (np.column_stack((t * config.b, dense_eval(traj, t)))
-              for t in np.split(ts, range(_BLOCK_ROWS, config.samples,
-                                          _BLOCK_ROWS)))
+    k, t0, t1 = config.samples, traj.mesh[0], traj.mesh[-1]
+    step = (t1 - t0) / (k - 1)
+
+    def block(i):
+        # rows i.. of np.linspace(t0, t1, k), by linspace's own arithmetic,
+        # so the whole grid is never held
+        t = np.arange(i, min(i + _BLOCK_ROWS, k)) * step + t0
+        if i + len(t) == k:
+            t[-1] = t1
+        return np.column_stack((t * config.b, dense_eval(traj, t)))
+
+    blocks = (block(i) for i in range(0, k, _BLOCK_ROWS))
     return header, blocks, {"steps_taken": traj.steps_taken,
                           "steps_rejected": traj.steps_rejected}
 

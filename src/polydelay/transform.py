@@ -71,36 +71,38 @@ class EquivalentSystem:
 def aux_initial_values(history, weight):
     """Initial auxiliary values x_i(0) = integral_a^b history(-tau) tau^i dtau.
 
-    history is scalar-valued on [-b, 0]. The integral is evaluated with
-    a 32-node Gauss-Legendre rule on [a, b]; its weights are
-    probability-normalised, so the interval length multiplies the sum.
-    When every sampled history value equals history(0) the constant
-    closed form y0 (b^{i+1} - a^{i+1}) / (i+1) is used instead.
+    history is scalar- or length-d-valued on [-b, 0] (then one column
+    x_0..x_n per component). It is sampled once, at the nodes of a
+    32-node Gauss-Legendre rule on [a, b] with probability-normalised
+    weights, so the interval length multiplies the sum. When every
+    sample equals the first, stationary_aux of that value is returned.
     """
     a, b = weight.a, weight.b
     rule = gauss_legendre(32, a, b)
-    h0 = float(history(0.0))
-    hv = np.array([float(history(-tau)) for tau in rule.nodes])
-    if np.all(hv == h0):
-        return stationary_aux(h0, weight)
+    hv = np.array([np.asarray(history(-tau), dtype=float)
+                   for tau in rule.nodes])
+    if np.all(hv == hv[0]):
+        return stationary_aux(hv[0], weight)
     powers = np.vander(rule.nodes, weight.degree + 1, increasing=True)
-    return (b - a) * (rule.weights @ (hv[:, None] * powers))
+    return (b - a) * ((rule.weights[:, None] * powers).T @ hv)
 
 
-def stationary_aux(y_star_component, weight):
-    """Stationary auxiliary values x_i* = y* (b^{i+1} - a^{i+1}) / (i+1)."""
-    i1 = np.arange(1, weight.degree + 2)
-    return float(y_star_component) * (weight.b ** i1 - weight.a ** i1) / i1
+def stationary_aux(y_star, weight):
+    """Stationary auxiliary values x_i* = y* (b^{i+1} - a^{i+1}) / (i+1)
+    of a scalar y*, or one column x_0*..x_n* per component of a vector."""
+    y = np.asarray(y_star, dtype=float)
+    i1 = np.arange(1, weight.degree + 2).reshape((-1,) + (1,) * y.ndim)
+    return y * (weight.b ** i1 - weight.a ** i1) / i1
 
 
 def build_equivalent(dde):
     """Assemble the equivalent two-delay system of a distributed-delay DDE.
 
-    The auxiliary chains start from aux_initial_values of the history.
-    The assembled DDE has dimension d + (n+1) * #delayed and
-    delays {a, b}, or just {b} when a = 0 since a zero lag is the current
-    state. The rhs gets each chain's derivative and its integral alpha . x
-    from one product by a constant block built on structure_matrix(n).
+    Every chain starts from one aux_initial_values call, which reads the
+    history 32 times. The assembled DDE has dimension d + (n+1) * #delayed
+    and delays {a, b}, or just {b} when a = 0 since a zero lag is the
+    current state. The rhs gets each chain's derivative and its integral
+    alpha . x from one product by a constant block on structure_matrix(n).
     Weights of degree above MAX_EQUIVALENT_DEGREE raise ValueError.
     """
     w = dde.weight
@@ -136,18 +138,12 @@ def build_equivalent(dde):
         dY[:d] = base_rhs(t, Y[:d], z)
         return dY
 
-    x0_full = np.concatenate([
-        aux_initial_values(
-            lambda s, c=c: np.asarray(base_hist(s), dtype=float)[c], w)
-        for c in comps])
+    # the auxiliary components are never read back in time by the rhs;
+    # a constant extension keeps the history total
+    x0_full = aux_initial_values(base_hist, w)[:, comps].T.ravel()
 
     def hist(t):
-        Y = np.empty(dim)
-        Y[:d] = np.asarray(base_hist(t), dtype=float)
-        # the auxiliary components are never read back in time by the
-        # rhs; a constant extension keeps the history total
-        Y[d:] = x0_full
-        return Y
+        return np.concatenate((base_hist(t), x0_full))
 
     assembled = DiscreteDelayDde(
         dimension=dim, delays=(b,) if degenerate else (a, b),

@@ -90,7 +90,8 @@ class PolynomialWeight:
         tol = max(1e-12, 64.0 * _EPS * math.fsum(abs(t) for t in terms))
         if abs(mass - 1.0) > tol:
             raise ValueError(
-                "density must integrate to one over [a, b], got %.17g" % mass)
+                "density must integrate to one over [%.17g, %.17g], got %.17g"
+                % (a, b, mass))
         grid = np.linspace(a, b, _GRID_POINTS)
         vals = _poly_eval(coeffs, grid)
         slack = np.maximum(
@@ -98,8 +99,8 @@ class PolynomialWeight:
         if np.any(vals < -slack):
             k = int(np.argmin(vals))
             raise ValueError(
-                "density is negative near tau = %g (value %g)"
-                % (grid[k], vals[k]))
+                "density is negative on [%.17g, %.17g] near tau = %g "
+                "(value %g)" % (a, b, grid[k], vals[k]))
 
     @property
     def degree(self):
@@ -195,8 +196,13 @@ def rescale_to_unit(w):
     Change of variables: for s = tau/b the density of s is b * g(b s), so
     coefficient alpha_i picks up the factor b**(i+1). The degree is
     preserved and the result is automatically normalised; moments scale
-    as moment(out, i) = moment(w, i) / b**i.
+    as moment(out, i) = moment(w, i) / b**i. A rescaled density that
+    fails the checks raises ValueError naming the original interval too.
     """
     b = w.b
     coeffs = tuple(c * b ** (i + 1) for i, c in enumerate(w.coeffs))
-    return PolynomialWeight(w.a / b, 1.0, coeffs)
+    try:
+        return PolynomialWeight(w.a / b, 1.0, coeffs)
+    except ValueError as exc:
+        raise ValueError("%s (the delay interval [%.17g, %.17g] rescaled to "
+                         "[a/b, 1])" % (exc, w.a, b)) from exc

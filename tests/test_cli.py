@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -267,6 +268,26 @@ def test_solve_blocks_equal_sample(tmp_path, capsys, monkeypatch):
     assert target.read_bytes() == b"t,S\n0,1\n"
 
 
+def test_solve_blocks_hold_one_block_of_memory():
+    # the sampled grid is built a block at a time: consuming the rows of
+    # 8 times as many samples peaks no higher
+    def peak(samples):
+        config = cli.assemble_config(preset="case-i", h_max=np.inf,
+                                     samples=samples)
+        tracemalloc.start()
+        try:
+            _, blocks, _ = cli.run_solve(config)
+            rows = sum(len(block) for block in blocks)
+            return tracemalloc.get_traced_memory()[1], rows
+        finally:
+            tracemalloc.stop()
+
+    small, rows_small = peak(50000)
+    large, rows_large = peak(400000)
+    assert (rows_small, rows_large) == (50000, 400000)
+    assert abs(large - small) <= 0.1e6, (small, large)
+
+
 def test_quad_table_case_i_single_node(capsys):
     code, out, _ = _run(["quad", "--preset", "case-i", "--m", "1"], capsys)
     assert code == 0
@@ -430,6 +451,9 @@ def test_every_subcommand_rejects_what_the_scaled_model_cannot_hold(
     assert code == cli.EXIT_CONFIG
     assert out == ""
     assert "config error: density must integrate to one" in err
+    # the failing check is on the rescaled copy, and the message names the
+    # delay interval it came from
+    assert "5.000000000001" in err and "rescaled to [a/b, 1]" in err
 
 
 def test_equivalent_degree_over_the_bound_is_a_config_error(tmp_path,

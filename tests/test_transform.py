@@ -228,6 +228,12 @@ def test_aux_initial_values_constant_histories():
         closed = 0.01 * (150.0 ** (i + 1) - 30.0 ** (i + 1)) / (i + 1)
         assert vals2[i] == pytest.approx(closed, rel=1e-12)
 
+    # constant on [-b, -a] but not at t = 0: the chains integrate only the
+    # window, so the closed form of the window value holds exactly
+    w3 = pdl.beta_polynomial(0.5, 2.0, 2, 2)
+    vals3 = pdl.aux_initial_values(lambda t: 0.25 if t < 0 else 4.0, w3)
+    assert vals3.tobytes() == pdl.stationary_aux(0.25, w3).tobytes()
+
 
 def test_aux_initial_values_linear_history():
     # phi(t) = t gives x_0(0) = integral_0^1 (-tau) dtau = -1/2
@@ -254,6 +260,75 @@ def test_stationary_aux_values():
         assert vals[i] == pytest.approx(1.0 / (i + 1), rel=1e-14)
     same = pdl.aux_initial_values(lambda t: 1.0, w)
     assert vals == pytest.approx(same, rel=1e-14)
+    # a vector gives the scalar values stacked as columns, bit for bit
+    for a, b, p, q in ((0.0, 1.0, 1, 1), (0.2, 1.0, 2, 2),
+                       (30.0, 150.0, 2, 2)):
+        w = pdl.beta_polynomial(a, b, p, q)
+        y = np.array([0.99, 0.01, 0.0, -3.5])
+        got = pdl.stationary_aux(y, w)
+        want = np.column_stack([pdl.stationary_aux(v, w) for v in y])
+        assert got.shape == (w.degree + 1, 4)
+        assert got.tobytes() == want.tobytes()
+
+
+def _aux_per_component(history, weight):
+    # the scalar route build_equivalent used to take once per component:
+    # closed form when every sample equals history(0), else quadrature
+    a, b = weight.a, weight.b
+    rule = pdl.gauss_legendre(32, a, b)
+    h0 = float(history(0.0))
+    hv = np.array([float(history(-tau)) for tau in rule.nodes])
+    if np.all(hv == h0):
+        return pdl.stationary_aux(h0, weight)
+    powers = np.vander(rule.nodes, weight.degree + 1, increasing=True)
+    return (b - a) * (rule.weights @ (hv[:, None] * powers))
+
+
+def test_aux_initial_values_of_a_vector_is_one_scalar_call_per_component():
+    w = pdl.beta_polynomial(0.5, 2.0, 1, 2)
+    # a constant history takes the closed form in both routes
+    y0 = np.array([0.99, 0.01, 0.0])
+    got = pdl.aux_initial_values(lambda t: y0, w)
+    want = np.column_stack([_aux_per_component(lambda t, c=c: y0[c], w)
+                            for c in range(3)])
+    assert got.tobytes() == want.tobytes()
+
+    # a non-constant history takes the quadrature for every component, the
+    # constant one included, which the scalar route gave in closed form;
+    # both are sums of 32 products, so they agree to 64 eps of the sum of
+    # the absolute terms (the rule is exact for these polynomials)
+    def hist(t):
+        return np.array([math.cos(t), 1.0, 1.0 + 0.5 * t])
+
+    got = pdl.aux_initial_values(hist, w)
+    want = np.column_stack([_aux_per_component(lambda t, c=c: hist(t)[c], w)
+                            for c in range(3)])
+    rule = pdl.gauss_legendre(32, w.a, w.b)
+    powers = np.vander(rule.nodes, w.degree + 1, increasing=True)
+    absvals = np.abs([hist(-tau) for tau in rule.nodes])
+    scale = (w.b - w.a) * ((rule.weights[:, None] * powers).T @ absvals)
+    assert got.shape == want.shape == (4, 3)
+    assert np.all(np.abs(got - want) <= 64 * np.finfo(float).eps * scale)
+
+
+@pytest.mark.parametrize("comps", [{1}, {0, 2}])
+def test_build_equivalent_reads_the_history_32_times(comps):
+    w = pdl.beta_polynomial(0.5, 2.0, 2, 2)
+    calls = []
+
+    def hist(t):
+        calls.append(t)
+        return np.array([math.cos(t), 1.0, 1.0 + 0.5 * t])
+
+    system = pdl.build_equivalent(pdl.DistributedDelayDde(
+        dimension=3, rhs=lambda t, y, z: z - y, weight=w,
+        delayed_components=frozenset(comps), history=hist))
+    assert len(calls) == 32
+    # the assembled history is the base state followed by every chain's x(0)
+    x0 = pdl.aux_initial_values(hist, w)
+    Y = system.assembled.history(-1.0)
+    assert Y.tobytes() == np.concatenate(
+        (hist(-1.0), *(x0[:, c] for c in sorted(comps)))).tobytes()
 
 
 def test_scale_distributed_moves_support_and_history():
