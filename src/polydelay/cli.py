@@ -20,7 +20,8 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .ddesolver import SolverError, SolverOptions, dense_eval, sample, solve
+from .ddesolver import (SolverError, SolverOptions, dense_eval, sample,
+                        sample_times, solve)
 from .models import SirParameters, sir_distributed, sir_equilibrium
 from .quadrature import build_quadrature_dde, gauss_jacobi
 from .transform import build_equivalent, scale_distributed, stationary_aux
@@ -29,10 +30,6 @@ from .weightfn import beta_polynomial, moment
 # Step budget for CLI-driven solves; module level so harnesses can lower
 # it to exercise failure handling.
 MAX_STEPS = 1000000
-
-# Rows sampled and formatted at a time while `solve` writes its CSV, so
-# the output's memory does not grow with the sample count.
-_BLOCK_ROWS = 1024
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -116,30 +113,29 @@ def parse_config_file(path, command="solve"):
         set() if command == "quad" else {"sigma", "theta"})
     overrides = {}
     try:
-        fh = open(path)
-    except OSError as exc:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError("cannot read config file %s: %s" % (path, exc))
-    with fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(
-                    "%s, line %d: expected key=value, got %r"
-                    % (path, lineno, raw.strip()))
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key not in keys:
-                raise ConfigError("%s, line %d: unknown key %r for %s"
-                                  % (path, lineno, key, command))
-            try:
-                overrides[key] = _FIELD_TYPES[key](value)
-            except ValueError:
-                raise ConfigError(
-                    "%s, line %d: invalid %s value %r"
-                    % (path, lineno, _FIELD_TYPES[key].__name__, value))
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError("%s, line %d: expected key=value, got %r"
+                              % (path, lineno, raw.strip()))
+        key, _, value = line.partition("=")
+        key = key.strip()
+        value = value.strip()
+        if key not in keys:
+            raise ConfigError("%s, line %d: unknown key %r for %s"
+                              % (path, lineno, key, command))
+        try:
+            overrides[key] = _FIELD_TYPES[key](value)
+        except ValueError:
+            raise ConfigError("%s, line %d: invalid %s value %r"
+                              % (path, lineno, _FIELD_TYPES[key].__name__,
+                                 value))
     return overrides
 
 
@@ -174,8 +170,12 @@ def _problem(config):
         weight = beta_polynomial(config.a, config.b, config.p, config.q)
         params = SirParameters(sigma=config.sigma, theta=config.theta,
                                weight=weight, y0=(0.99, 0.01, 0.0))
-        return (params, scale_distributed(sir_distributed(params)),
-                config.t_end / config.b)
+        base = scale_distributed(sir_distributed(params))
+        t_end = config.t_end / config.b
+        if not t_end > 0.0:
+            raise ValueError("the horizon t_end / b = %g in the scaled time "
+                             "t/b must be positive" % t_end)
+        return params, base, t_end
 
 
 def _route(config, base, m=None):
@@ -192,8 +192,8 @@ def run_solve(config):
 
     The solve runs here, so a solver failure raises before any output is
     opened; the sampling waits for the caller. Returns (header, blocks,
-    info): CSV header names, a generator of row blocks of at most
-    _BLOCK_ROWS rows over the samples-point grid of `sample`, each row the
+    info): CSV header names, a generator of row blocks, one for each block
+    of `sample_times` over the samples-point grid of `sample`, each row the
     time rescaled back to original time followed by the state, and a dict
     with the step counters."""
     _, base, t_end = _problem(config)
@@ -202,18 +202,8 @@ def run_solve(config):
     # the equivalent route appends the auxiliary chain x_0..x_n
     header = "t S I R".split() + ["x%d" % i for i in range(dde.dimension - 3)]
     traj = solve(dde, t_end, _solver_options(config))
-    k, t0, t1 = config.samples, traj.mesh[0], traj.mesh[-1]
-    step = (t1 - t0) / (k - 1)
-
-    def block(i):
-        # rows i.. of np.linspace(t0, t1, k), by linspace's own arithmetic,
-        # so the whole grid is never held
-        t = np.arange(i, min(i + _BLOCK_ROWS, k)) * step + t0
-        if i + len(t) == k:
-            t[-1] = t1
-        return np.column_stack((t * config.b, dense_eval(traj, t)))
-
-    blocks = (block(i) for i in range(0, k, _BLOCK_ROWS))
+    blocks = (np.column_stack((t * config.b, dense_eval(traj, t)))
+              for t in sample_times(traj, config.samples))
     return header, blocks, {"steps_taken": traj.steps_taken,
                           "steps_rejected": traj.steps_rejected}
 
@@ -227,20 +217,21 @@ def run_convergence(config, m_list):
     a samples-point equidistant grid."""
     if not m_list:
         raise ConfigError("need at least one node count")
-    if list(m_list) != sorted(set(int(m) for m in m_list)):
-        raise ConfigError("node counts must be ascending and distinct")
     opts = _solver_options(config)
     _, base, t_end = _problem(config)
-    # every DDE is built before the first solve, the largest rule first,
-    # so a bad node count, or one over the rule's bound, fails at once
+    # every DDE is built before the first solve, the last count first, so
+    # a bad node count, or one over the rule's bound, fails at once, and
+    # the range 1..M fails at M before it is ever listed
     quads = [_route(config, base, m) for m in m_list[::-1]][::-1]
+    if list(m_list) != sorted(set(int(m) for m in m_list)):
+        raise ConfigError("node counts must be ascending and distinct")
     ref = solve(_route(config, base), t_end, opts)
-    ref_vals = sample(ref, config.samples)[1][:, :3]
+    ts, ref_vals = sample(ref, config.samples)
 
     def one_m(dde):
-        traj = solve(dde, t_end, opts)
-        return np.max(np.abs(sample(traj, config.samples)[1][:, :3]
-                             - ref_vals), axis=0)
+        # every solve ends exactly on t_end, so it shares the reference grid
+        vals = dense_eval(solve(dde, t_end, opts), ts)
+        return np.max(np.abs(vals[:, :3] - ref_vals[:, :3]), axis=0)
 
     return np.array([one_m(dde) for dde in quads]), ref.steps_taken
 
@@ -337,10 +328,10 @@ def _emit_lines(lines, path=None):
 
 
 def _node_counts(text):
-    # convergence's --m: a comma list, or M meaning 1..M
+    # convergence's --m: a comma list, or M meaning the range 1..M
     try:
         return ([int(part) for part in text.split(",")] if "," in text
-                else list(range(1, int(text) + 1)))
+                else range(1, int(text) + 1))
     except ValueError:
         raise argparse.ArgumentTypeError("invalid node counts: %r" % text)
 

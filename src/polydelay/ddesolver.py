@@ -49,6 +49,8 @@ _BREAKPOINT_MERGE = 1e-12
 # Most steps one run lookup covers; it bounds the lookup's memory. With 1
 # every lookup covers only the attempt that makes it.
 _RUN_STEPS = 128
+# Most times in one block of the sampling grid (sample_times)
+_BLOCK_ROWS = 1024
 
 
 class SolverError(RuntimeError):
@@ -401,10 +403,25 @@ def dense_eval(traj, t):
     return _hermite(mesh, traj.states, traj.derivs, t[()])
 
 
+def sample_times(traj, k):
+    """Yield the k equidistant times of `sample` in blocks of at most
+    _BLOCK_ROWS times, so the whole grid need never be held.
+
+    The blocks join to np.linspace(mesh[0], mesh[-1], k) bit for bit:
+    they use its arithmetic, and the last time is the interval's end."""
+    if k < 2:
+        raise ValueError("need at least two sample points")
+    t0, t1 = traj.mesh[0], traj.mesh[-1]
+    step = (t1 - t0) / (k - 1)
+    for i in range(0, k, _BLOCK_ROWS):
+        t = np.arange(i, min(i + _BLOCK_ROWS, k)) * step + t0
+        if i + len(t) == k:
+            t[-1] = t1
+        yield t
+
+
 def sample(traj, k):
     """(ts, states) at k equidistant times over the covered interval;
     states has shape (k, d)."""
-    if k < 2:
-        raise ValueError("need at least two sample points")
-    ts = np.linspace(traj.mesh[0], traj.mesh[-1], k)
+    ts = np.concatenate(list(sample_times(traj, k)))
     return ts, dense_eval(traj, ts)

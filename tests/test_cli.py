@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import polydelay as pdl
-from polydelay import cli
+from polydelay import cli, ddesolver
 
 
 def test_defaults_are_case_i_values():
@@ -246,12 +246,12 @@ def test_solve_blocks_equal_sample(tmp_path, capsys, monkeypatch):
         return trajs[-1]
 
     monkeypatch.setattr(cli, "solve", keep_solve)
-    for k in (2, cli._BLOCK_ROWS, cli._BLOCK_ROWS + 1,
-              2 * cli._BLOCK_ROWS + 3):
+    for k in (2, ddesolver._BLOCK_ROWS, ddesolver._BLOCK_ROWS + 1,
+              2 * ddesolver._BLOCK_ROWS + 3):
         config = cli.assemble_config(preset="case-i", t_end=60.0, samples=k)
         _, blocks, _ = cli.run_solve(config)
         blocks = list(blocks)
-        assert all(len(block) <= cli._BLOCK_ROWS for block in blocks)
+        assert all(len(block) <= ddesolver._BLOCK_ROWS for block in blocks)
         ts, states = pdl.sample(trajs[-1], k)
         rows = np.concatenate(blocks)
         expected = np.column_stack((ts * config.b, states))
@@ -353,6 +353,46 @@ def test_convergence_is_deterministic(tmp_path, capsys):
     assert outputs[0] == outputs[1]
 
 
+def test_convergence_samples_the_reference_once(monkeypatch):
+    # one grid: the reference is sampled, and every quadrature solve is
+    # evaluated on the reference's times
+    sampled, evaluated = [], []
+
+    def count_sample(traj, k):
+        sampled.append(k)
+        return pdl.sample(traj, k)
+
+    def count_dense_eval(traj, t):
+        evaluated.append(t)
+        return pdl.dense_eval(traj, t)
+
+    monkeypatch.setattr(cli, "sample", count_sample)
+    monkeypatch.setattr(cli, "dense_eval", count_dense_eval)
+    config = cli.assemble_config(preset="case-i", t_end=30.0, samples=30)
+    diffs, _ = cli.run_convergence(config, [1, 2, 3])
+    assert sampled == [30]
+    assert len(evaluated) == 3
+    want = np.linspace(0.0, 30.0 / config.b, 30)
+    assert all(t.tobytes() == want.tobytes() for t in evaluated)
+    assert diffs.shape == (3, 3)
+
+
+def test_convergence_range_over_the_bound_fails_before_listing_it(capsys):
+    # --m M is the range 1..M; over the bound it fails at M without a
+    # list of M counts
+    tracemalloc.start()
+    try:
+        code, out, err = _run(["convergence", "--preset", "case-i",
+                               "--m", "2000000"], capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == cli.EXIT_CONFIG
+    assert out == ""
+    assert "must lie in [1, %d], got 2000000" % pdl.MAX_NODES in err
+    assert peak < 5e6, peak
+
+
 def test_convergence_rejects_bad_m_lists(capsys):
     code, _, err = _run(["convergence", "--preset", "case-i",
                          "--m", "2,1"], capsys)
@@ -436,6 +476,30 @@ def test_exit_code_config_errors(tmp_path, capsys, monkeypatch):
                         capsys)
     assert code == cli.EXIT_CONFIG
     assert "config error" in err
+
+
+@pytest.mark.parametrize("command",
+                         ["solve", "convergence", "stationary", "quad"])
+def test_undecodable_config_file_exits_2(command, tmp_path, capsys):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes(b"# Verz\xf6gerung\np = 2\n")
+    code, out, err = _run([command, "--preset", "case-i", "--config",
+                           str(path)], capsys)
+    assert code == cli.EXIT_CONFIG
+    assert out == ""
+    assert "config error: cannot read config file %s" % path in err
+    assert "decode byte 0xf6" in err
+
+
+@pytest.mark.parametrize("command", ["solve", "convergence"])
+def test_horizon_rounding_to_zero_in_scaled_time_exits_2(command, capsys):
+    # 5e-324 days is positive, but 5e-324 / b is 0 in t/b
+    code, out, err = _run([command, "--preset", "case-i", "--t-end",
+                           "5e-324"], capsys)
+    assert code == cli.EXIT_CONFIG
+    assert out == ""
+    assert "config error: the horizon t_end / b = 0" in err
+    assert "t/b" in err
 
 
 @pytest.mark.parametrize("command",

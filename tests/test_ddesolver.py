@@ -161,6 +161,48 @@ def test_sample_endpoints_and_monotonicity():
         pdl.sample(traj, 1)
 
 
+def _interval(t0, t1):
+    # sample_times reads only the covered interval
+    return pdl.Trajectory(mesh=np.array([t0, t1]), states=np.zeros((2, 1)),
+                          derivs=np.zeros((2, 1)), steps_taken=1,
+                          steps_rejected=0)
+
+
+def _grid_blocks(traj, k):
+    blocks = list(ddesolver.sample_times(traj, k))
+    # full blocks, but for the last
+    assert [len(b) for b in blocks[:-1]] == \
+        [ddesolver._BLOCK_ROWS] * (len(blocks) - 1)
+    assert 1 <= len(blocks[-1]) <= ddesolver._BLOCK_ROWS
+    return blocks
+
+
+@pytest.mark.parametrize("k", [2, 1023, 1024, 1025, 2049])
+def test_sample_times_blocks_join_to_linspace(k):
+    for traj in (pdl.solve(_benchmark(), 4.0), _interval(0.1, 7.3)):
+        want = np.linspace(traj.mesh[0], traj.mesh[-1], k)
+        ts = np.concatenate(_grid_blocks(traj, k))
+        assert ts.tobytes() == want.tobytes()
+        assert pdl.sample(traj, k)[0].tobytes() == want.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(t0=st.floats(-1e6, 1e6), width=st.floats(1e-6, 1e6),
+       k=st.integers(2, 5000))
+def test_sample_times_equal_linspace_bit_for_bit(t0, width, k):
+    traj = _interval(t0, t0 + width)
+    ts = np.concatenate(_grid_blocks(traj, k))
+    assert ts.tobytes() == np.linspace(t0, t0 + width, k).tobytes()
+
+
+def test_sample_times_need_two_points():
+    for k in (1, 0, -3):
+        with pytest.raises(ValueError, match="at least two"):
+            list(ddesolver.sample_times(_interval(0.0, 1.0), k))
+        with pytest.raises(ValueError, match="at least two"):
+            pdl.sample(_interval(0.0, 1.0), k)
+
+
 def test_solver_counters_consistent():
     traj = pdl.solve(_benchmark(), 4.0)
     assert traj.steps_taken == len(traj.mesh) - 1
