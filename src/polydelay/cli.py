@@ -158,24 +158,25 @@ def assemble_config(preset=None, config_path=None, command="solve",
     return config
 
 
-def _solver_options(config):
-    return SolverOptions(rtol=config.rtol, atol=config.atol,
-                         h_max=config.h_max, max_steps=MAX_STEPS)
-
-
 def _problem(config):
-    # (params, base, t_end): the SIR parameters, and the model and horizon
-    # in the scaled time t/b, where the largest delay is 1
+    # (params, base): the SIR parameters, and the model in the scaled time
+    # t/b, where the largest delay is 1
     with _config_values():
         weight = beta_polynomial(config.a, config.b, config.p, config.q)
         params = SirParameters(sigma=config.sigma, theta=config.theta,
                                weight=weight, y0=(0.99, 0.01, 0.0))
-        base = scale_distributed(sir_distributed(params))
-        t_end = config.t_end / config.b
-        if not t_end > 0.0:
-            raise ValueError("the horizon t_end / b = %g in the scaled time "
-                             "t/b must be positive" % t_end)
-        return params, base, t_end
+        return params, scale_distributed(sir_distributed(params))
+
+
+def _integration(config):
+    # (t_end, opts) of the subcommands that integrate: the horizon in the
+    # scaled time t/b, and the solver options
+    t_end = config.t_end / config.b
+    if not 0.0 < t_end < np.inf:
+        raise ConfigError("the horizon t_end / b = %g in the scaled time t/b "
+                          "must be positive and finite" % t_end)
+    return t_end, SolverOptions(rtol=config.rtol, atol=config.atol,
+                                h_max=config.h_max, max_steps=MAX_STEPS)
 
 
 def _route(config, base, m=None):
@@ -196,12 +197,13 @@ def run_solve(config):
     of `sample_times` over the samples-point grid of `sample`, each row the
     time rescaled back to original time followed by the state, and a dict
     with the step counters."""
-    _, base, t_end = _problem(config)
+    _, base = _problem(config)
+    t_end, opts = _integration(config)
     dde = _route(config, base,
                  config.m if config.variant == "quadrature" else None)
     # the equivalent route appends the auxiliary chain x_0..x_n
     header = "t S I R".split() + ["x%d" % i for i in range(dde.dimension - 3)]
-    traj = solve(dde, t_end, _solver_options(config))
+    traj = solve(dde, t_end, opts)
     blocks = (np.column_stack((t * config.b, dense_eval(traj, t)))
               for t in sample_times(traj, config.samples))
     return header, blocks, {"steps_taken": traj.steps_taken,
@@ -217,8 +219,8 @@ def run_convergence(config, m_list):
     a samples-point equidistant grid."""
     if not m_list:
         raise ConfigError("need at least one node count")
-    opts = _solver_options(config)
-    _, base, t_end = _problem(config)
+    _, base = _problem(config)
+    t_end, opts = _integration(config)
     # every DDE is built before the first solve, the last count first, so
     # a bad node count, or one over the rule's bound, fails at once, and
     # the range 1..M fails at M before it is ever listed
@@ -265,7 +267,7 @@ def run_quad_table(config):
 def run_stationary(config):
     """Equilibria of the configured model as printable lines; the aux
     values are the scaled moments x_i / b^{i+1} that solve integrates."""
-    params, base, _ = _problem(config)
+    params, base = _problem(config)
     lines = []
     for name, y in zip(("disease-free", "endemic"), sir_equilibrium(params)):
         aux = stationary_aux(y[1], base.weight)

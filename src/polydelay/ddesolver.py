@@ -17,9 +17,24 @@ rejection or a shrinking step leaves it, and no stop is near enough to
 cut a run step, so an attempt at the cap is the next predicted one. An
 in-order cumsum gives the loop's own start times, the Hermite is
 elementwise, and no run query passes the mesh end, so the run's values
-equal per-attempt lookups bit for bit. Mesh, states and derivatives
-live in preallocated arrays that double when full, and the stages are
-checked for finiteness once per step, through the error norm.
+equal per-attempt lookups bit for bit.
+Once the cap has held for `held` >= 2 accepted steps in a row, an
+attempt at the cap also takes the run's steps back to back, at most
+`held` of them (and no more than the run and the step budget hold):
+each step by the same stage expressions, with no error check or
+bookkeeping of its own. One vectorised pass then computes their error
+norms, and the steps up to the first norm above 0.7 are taken with
+slice writes. The controller keeps the cap after any norm up to 0.729,
+so those steps are exactly the ones the per-attempt loop takes; the
+margin covers the rounding of the batched error product. The first step
+past them is tried again on its own, which decides it as before, and a
+run cut short starts `held` afresh, so the discarded steps never cost
+more rhs calls than the accepted ones. They are speculative work, not
+rejections: steps_rejected counts only attempts that the per-attempt
+loop rejects. Mesh, states and derivatives live in preallocated arrays
+that double when full, and the stages are checked for finiteness once
+per step, through the error norm, or inside a batched run, where a
+non-finite derivative ends the run at once.
 When y' jumps at t = 0, as under a constant history, y'' jumps at each
 delay, and the mesh lands exactly there; the later jumps, at sums of
 delays, are in y''' and higher and are left to the error estimate.
@@ -47,7 +62,8 @@ _INITIAL_CAPACITY = 1024
 # than this, and a delay this close to the horizon is not a stop.
 _BREAKPOINT_MERGE = 1e-12
 # Most steps one run lookup covers; it bounds the lookup's memory. With 1
-# every lookup covers only the attempt that makes it.
+# every lookup covers only the attempt that makes it, and no steps are
+# taken back to back.
 _RUN_STEPS = 128
 # Most times in one block of the sampling grid (sample_times)
 _BLOCK_ROWS = 1024
@@ -253,10 +269,11 @@ def solve(dde, t_end, opts=None):
         return Z.transpose(0, 2, 1)
 
     def run(t, h, next_stop):
-        """Delayed states, three rows per step, of the step of size h
-        from t and of the following steps of that size, up to _RUN_STEPS
-        in all, while they stay short of next_stop by more than 2h and
-        their queries stay below t."""
+        """The step of size h from t and the following steps of that
+        size, up to _RUN_STEPS in all, while they stay short of next_stop
+        by more than 2h and their queries stay below t: the list of their
+        start times followed by the last end time, and their delayed
+        states, shape (steps, 3, d, len(delays))."""
         # cumsum adds in order, so starts[k] is the float the step loop
         # reaches after k additions t + h
         ends = np.full(_RUN_STEPS + 1, h)
@@ -269,7 +286,8 @@ def solve(dde, t_end, opts=None):
                                         & (h < 0.5 * (next_stop - starts)))))
         times = np.column_stack((starts[:k] + _C2 * h, starts[:k] + _C3 * h,
                                  ends[1:k + 1]))
-        return delayed(times.ravel())
+        return (ends[:k + 1].tolist(),
+                delayed(times.ravel()).reshape(k, 3, d, delays.size))
 
     def checked_rhs(t, y):
         out = np.asarray(rhs(t, y, delayed((t,))[0]), dtype=float)
@@ -305,11 +323,17 @@ def solve(dde, t_end, opts=None):
               else max(1e-6, h0 * 1e-3))
         h = min(100.0 * h0, h1)
     atol, rtol = opts.atol, opts.rtol
-    # delayed states of the current run's remaining steps, three rows each
-    run_Z = ()
+    # the current run: its steps' start times and last end time, their
+    # delayed states, and the index of its next step
+    run_t, run_Z, r = [], (), 0
+    # accepted attempts in a row at the cap; an attempt below it, a
+    # rejection and a cut run start the count afresh
+    held = 0
     # stage derivatives; row 0 is the derivative at the current point
     K = np.empty((4, d))
-    K[0] = f0
+    K0, K1, _, K3 = K
+    K012 = K[:3]
+    K0[:] = f0
     t = 0.0
     y = y0
     abs_y = np.abs(y0)
@@ -342,14 +366,65 @@ def solve(dde, t_end, opts=None):
         t_new = next_stop if on_stop else t + h
         # an attempt below the cap ends the run: it follows a rejection or
         # a shrinking step
-        if not (len(run_Z) and h == h_cap):
-            run_Z = (run(t, h, next_stop) if h == h_cap and not on_stop
-                     else delayed((t2, t3, t_new)))
-        Z, run_Z = run_Z[:3], run_Z[3:]
-        K[1] = rhs(t2, y + (_C2 * h) * K[0], Z[0])
-        K[2] = rhs(t3, y + (_C3 * h) * K[1], Z[1])
-        y_new = y + h * (_B @ K[:3])
-        K[3] = rhs(t_new, y_new, Z[2])
+        if not (r < len(run_Z) and h == h_cap):
+            r = 0
+            if h == h_cap and not on_stop:
+                run_t, run_Z = run(t, h, next_stop)
+            else:
+                run_Z = delayed((t2, t3, t_new))[None]
+        k = min(held, len(run_Z) - r, opts.max_steps - taken - rejected)
+        if k >= 2:
+            # k steps of the run back to back, each by the stage
+            # expressions below; one pass after them checks their errors.
+            # No step at the cap underflows: that needs t >= h_cap /
+            # (1e3 eps), over 4e12 steps of the budget checked above.
+            if n + k > mesh.size:
+                mesh, states, derivs = map(_doubled, (mesh, states, derivs))
+            KB = np.empty((k + 1, 4, d))
+            KB[0, 0] = K0
+            for j in range(k):
+                Kj = KB[j]
+                tj = run_t[r + j]
+                Z = run_Z[r + j]
+                Kj[1] = rhs(tj + _C2 * h, y + (_C2 * h) * Kj[0], Z[0])
+                Kj[2] = rhs(tj + _C3 * h, y + (_C3 * h) * Kj[1], Z[1])
+                states[n + j] = y + h * (_B @ Kj[:3])
+                y = states[n + j]
+                Kj[3] = KB[j + 1, 0] = rhs(run_t[r + j + 1], y, Z[2])
+                # a non-finite derivative ends the run at once
+                if not np.isfinite(Kj[3]).all():
+                    k = j + 1
+                    break
+            A = np.abs(states[n - 1:n + k])
+            norms = h * (np.abs(_E @ KB[:k])
+                         / (atol + rtol * np.maximum(A[:-1], A[1:]))).max(1)
+            # norms up to 0.729 keep h_cap, and 0.7 leaves room for the
+            # rounding of the batched product; the first step past the
+            # prefix is tried again alone, which would raise at once if
+            # its stages are non-finite
+            kk = int((norms <= 0.7).cumprod().sum())
+            if kk < k and not np.isfinite(KB[kk]).all():
+                raise SolverError(
+                    "non-finite right-hand side in the step from t = %g"
+                    % run_t[r + kk])
+            mesh[n:n + kk] = run_t[r + 1:r + kk + 1]
+            derivs[n:n + kk] = KB[:kk, 3]
+            n += kk
+            taken += kk
+            r += kk
+            t = run_t[r]
+            y = states[n - 1]
+            abs_y = A[kk]
+            K0[:] = derivs[n - 1]
+            held = held + kk if kk == k else 0
+            continue
+
+        Z = run_Z[r]
+        r += 1
+        K1[:] = rhs(t2, y + (_C2 * h) * K0, Z[0])
+        K[2] = rhs(t3, y + (_C3 * h) * K1, Z[1])
+        y_new = y + h * (_B @ K012)
+        K3[:] = rhs(t_new, y_new, Z[2])
         abs_new = np.abs(y_new)
         # a non-finite stage makes the norm nan or inf
         enorm = h * float((np.abs(_E @ K)
@@ -360,13 +435,14 @@ def solve(dde, t_end, opts=None):
                 mesh, states, derivs = map(_doubled, (mesh, states, derivs))
             mesh[n] = t_new
             states[n] = y_new
-            derivs[n] = K[3]
+            derivs[n] = K3
             n += 1
             t = t_new
             y = y_new
             abs_y = abs_new
-            K[0] = K[3]
+            K0[:] = K3
             taken += 1
+            held = held + 1 if h == h_cap else 0
             if on_stop:
                 stop_idx += 1
         elif not (math.isfinite(enorm) or np.isfinite(K).all()):
@@ -374,6 +450,7 @@ def solve(dde, t_end, opts=None):
                 "non-finite right-hand side in the step from t = %g" % t)
         else:
             rejected += 1
+            held = 0
         h *= (5.0 if enorm == 0.0
               else min(5.0, max(0.2, 0.9 * enorm ** (-1.0 / 3.0))))
 

@@ -164,7 +164,7 @@ def scale_distributed(dde):
     hist0 = dde.history
 
     def rhs(t, y, z):
-        return b * np.asarray(rhs0(b * t, y, z), dtype=float)
+        return np.multiply(rhs0(b * t, y, z), b, dtype=float)
 
     def hist(t):
         return hist0(b * t)

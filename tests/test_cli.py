@@ -502,6 +502,27 @@ def test_horizon_rounding_to_zero_in_scaled_time_exits_2(command, capsys):
     assert "t/b" in err
 
 
+@pytest.mark.parametrize("command, code", [
+    ("solve", cli.EXIT_CONFIG), ("convergence", cli.EXIT_CONFIG),
+    ("stationary", cli.EXIT_OK), ("quad", cli.EXIT_OK)])
+def test_horizon_overflowing_in_scaled_time(command, code, tmp_path,
+                                            capsys):
+    # 1000 days / 1e-307 is inf in t/b: the subcommands that integrate
+    # refuse it as a config error; stationary and quad read no horizon
+    # and answer
+    path = tmp_path / "tiny-b.cfg"
+    path.write_text("a = 0\nb = 1e-307\np = 0\nq = 0\n")
+    got, out, err = _run([command, "--preset", "case-i", "--config",
+                          str(path)], capsys)
+    assert got == code
+    if code == cli.EXIT_OK:
+        assert out and err == ""
+    else:
+        assert out == ""
+        assert err == ("config error: the horizon t_end / b = inf in the "
+                       "scaled time t/b must be positive and finite\n")
+
+
 @pytest.mark.parametrize("command",
                          ["solve", "convergence", "stationary", "quad"])
 def test_every_subcommand_rejects_what_the_scaled_model_cannot_hold(

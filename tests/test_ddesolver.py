@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import polydelay as pdl
-from polydelay import ddesolver
+from polydelay import cli, ddesolver
 from polydelay.ddesolver import _breakpoints
 
 
@@ -629,3 +629,130 @@ def test_runs_equal_per_step_lookups(delays, h_max, switch, rtol):
                  "steps_rejected"):
         assert np.array_equal(getattr(with_runs, name),
                               getattr(per_step, name)), name
+
+
+def _per_step(dde, t_end, opts):
+    """solve() with every attempt on its own: no run lookups, no batched
+    steps."""
+    with mock.patch.object(ddesolver, "_RUN_STEPS", 1):
+        return pdl.solve(dde, t_end, opts)
+
+
+def _counted(dde):
+    """dde with an rhs that counts its calls in the returned list."""
+    calls = [0]
+
+    def rhs(t, y, Z):
+        calls[0] += 1
+        return dde.rhs(t, y, Z)
+
+    return dataclasses.replace(dde, rhs=rhs), calls
+
+
+@settings(max_examples=60, deadline=None)
+@given(delays=st.lists(st.floats(0.05, 1.0), min_size=1, max_size=3,
+                       unique=True).filter(
+           lambda ds: np.all(np.diff(sorted(ds)) > 1e-12)),
+       h_max=st.sampled_from([0.003, 0.01, 0.02, 0.05]),
+       rtol=st.sampled_from([1e-3, 1e-4, 1e-5, 1e-6]),
+       amp=st.floats(0.0, 5.0), w=st.floats(0.5, 30.0))
+def test_batched_runs_equal_per_step_solve(delays, h_max, rtol, amp, w):
+    # the forcing makes the cap and error control take turns, so batched
+    # runs are cut at random places and their first failing step is
+    # retried alone
+    dde, calls = _counted(pdl.DiscreteDelayDde(
+        dimension=1, delays=tuple(delays),
+        rhs=lambda t, y, Z: -Z.mean(axis=1) + amp * math.sin(w * t) * y,
+        history=lambda t: np.array([1.0 + t])))
+    opts = pdl.SolverOptions(rtol=rtol, h_max=h_max)
+    batched = pdl.solve(dde, 3.0, opts)
+    # a run is never longer than the accepted steps before it, so the
+    # discarded steps cost at most as many calls as the taken ones
+    attempts = batched.steps_taken + batched.steps_rejected
+    assert calls[0] <= 2 * (3 * attempts + 2)
+    per_step = _per_step(dde, 3.0, opts)
+    for name in ("mesh", "states", "derivs", "steps_taken",
+                 "steps_rejected"):
+        assert np.array_equal(getattr(batched, name),
+                              getattr(per_step, name)), name
+
+
+def test_batched_runs_discard_steps_and_keep_the_trajectory():
+    # one problem of the family above on which batched runs are cut: the
+    # discarded steps show as extra rhs calls (about 1.3 times the
+    # per-step count), and the trajectory is the per-step one. Runs as
+    # long as the lookup allows, without the held bound, would make about
+    # 3.2 times the calls here.
+    dde, calls = _counted(pdl.DiscreteDelayDde(
+        dimension=1, delays=(0.92, 0.41),
+        rhs=lambda t, y, Z: -Z.mean(axis=1) + 0.74 * math.sin(23.5 * t) * y,
+        history=lambda t: np.array([1.0 + t])))
+    opts = pdl.SolverOptions(rtol=1e-5, h_max=0.01)
+    batched = pdl.solve(dde, 3.0, opts)
+    batched_calls, calls[0] = calls[0], 0
+    per_step = _per_step(dde, 3.0, opts)
+    assert calls[0] == 3 * (per_step.steps_taken
+                            + per_step.steps_rejected) + 2
+    assert calls[0] < batched_calls <= 2 * calls[0]
+    for name in ("mesh", "states", "derivs"):
+        assert np.array_equal(getattr(batched, name), getattr(per_step, name))
+
+
+@pytest.mark.parametrize("preset, m, calls", [
+    ("case-i", None, 20006), ("case-ii", None, 24008),
+    ("case-i", 8, 20015), ("case-ii", 8, 24014)])
+def test_published_runs_discard_no_step(preset, m, calls):
+    # the published solves are h_max-bound with no error above the
+    # margin, so every batched step is taken: 3 calls a step, plus the
+    # first derivative and the first-step probe
+    config = cli.PRESETS[preset]
+    _, base = cli._problem(config)
+    t_end, opts = cli._integration(config)
+    dde, count = _counted(cli._route(config, base, m))
+    traj = pdl.solve(dde, t_end, opts)
+    assert traj.steps_rejected == 0
+    assert count[0] == 3 * traj.steps_taken + 2 == calls
+
+
+def test_nonfinite_rhs_deep_in_a_run_raises_at_its_step():
+    # with h_max = 0.01 the steps from t = 1.99 on run back to back, 99 at
+    # a time; the rhs turns infinite inside that run
+    bad_calls = []
+
+    def rhs(t, y, Z):
+        if t > 2.5:
+            bad_calls.append(t)
+            return np.array([math.inf])
+        return -Z[:, 0]
+
+    dde = pdl.DiscreteDelayDde(dimension=1, delays=(1.0,), rhs=rhs,
+                               history=lambda t: np.array([1.0]))
+    opts = pdl.SolverOptions(h_max=0.01)
+    messages = []
+    for solver in (pdl.solve, _per_step):
+        bad_calls.clear()
+        with pytest.raises(pdl.SolverError) as info:
+            with pytest.warns(RuntimeWarning, match="invalid value"):
+                solver(dde, 4.0, opts)
+        messages.append(str(info.value))
+        # the stages of the one step that meets the bad times
+        assert 1 <= len(bad_calls) <= 3
+    assert messages[0] == messages[1]
+    assert messages[0].startswith(
+        "non-finite right-hand side in the step from t = 2.5")
+
+
+def test_budget_running_out_inside_a_run_matches_per_step():
+    # from h_init = 1e-6 the steps need about ten more than t_end / h_max;
+    # these budgets pass the pre-check and run out inside the last run
+    dde = _benchmark()
+    for max_steps in range(400, 407):
+        opts = pdl.SolverOptions(h_max=0.01, h_init=1e-6,
+                                 max_steps=max_steps)
+        messages = []
+        for solver in (pdl.solve, _per_step):
+            with pytest.raises(pdl.SolverError, match="exhausted") as info:
+                solver(dde, 4.0, opts)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        assert "(%d accepted, 0 rejected)" % max_steps in messages[0]
