@@ -134,7 +134,7 @@ def build_quadrature_dde(dde, rule):
     def rhs(t, y, Z):
         z = np.zeros(d)
         for c in comps:
-            z[c] = float(Z[c, :] @ weights)
+            z[c] = float(Z[c, :].dot(weights))
         return base_rhs(t, y, z)
 
     return DiscreteDelayDde(dimension=d, delays=tuple(rule.nodes),

@@ -132,7 +132,7 @@ def build_equivalent(dde):
             # a = 0 reads the current state; y(t - b) is the last column
             v[-2] = Y[c] if degenerate else Z[c, 0]
             v[-1] = Z[c, -1]
-            out = v @ M
+            out = v.dot(M)
             dY[o:o + n + 1] = out[:-1]
             z[c] = out[-1]
         dY[:d] = base_rhs(t, Y[:d], z)

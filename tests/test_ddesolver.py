@@ -3,6 +3,7 @@ behaviour of the continuous extension, and input validation."""
 
 import dataclasses
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -756,3 +757,94 @@ def test_budget_running_out_inside_a_run_matches_per_step():
             messages.append(str(info.value))
         assert messages[0] == messages[1]
         assert "(%d accepted, 0 rejected)" % max_steps in messages[0]
+
+
+def _history_loop(Z, q, history):
+    """The per-query fill that _fill_from_history replaces, kept as its
+    reference: one history call per query at or below 0, row-major."""
+    for s, j in zip(*np.nonzero(q <= 0.0)):
+        Z[s, j] = history(float(q[s, j]))
+
+
+def _assert_fill_matches_loop(Z, q, history):
+    """Both fills write the same bits into copies of Z and make the same
+    history calls, with the same Python float arguments, in order."""
+    out, calls = [], []
+    for fill in (ddesolver._fill_from_history, _history_loop):
+        seen = []
+
+        def recording(t):
+            seen.append((type(t), t))
+            return history(t)
+
+        target = Z.copy()
+        fill(target, q, recording)
+        out.append(target.tobytes())
+        calls.append(seen)
+    assert out[0] == out[1]
+    assert calls[0] == calls[1]
+
+
+@pytest.mark.parametrize("q, d, history", [
+    # d = 1, queries on both sides of 0
+    (np.subtract.outer([0.1, 0.3, 0.7], [0.2, 0.5]), 1,
+     lambda t: np.array([1.0 + t])),
+    # a history that returns a list
+    (np.subtract.outer([0.05, 0.25], [0.1, 0.2, 0.3]), 3,
+     lambda t: [math.cos(t), t * t, -0.0]),
+    # the empty selection of a zero-delay DDE's lookup at t = 0
+    (np.empty((1, 0)), 2, lambda t: np.ones(2)),
+    # no query at or below 0
+    (np.subtract.outer([1.5, 2.0], [0.5, 1.0]), 2, lambda t: np.ones(2)),
+])
+def test_history_fill_matches_per_query_loop(q, d, history):
+    # entries the history does not set must stay as they are
+    Z = np.arange(q.size * d, dtype=float).reshape(q.shape + (d,)) + 0.5
+    _assert_fill_matches_loop(Z, q, history)
+
+
+def test_history_fill_matches_loop_on_run_lookups(monkeypatch):
+    # with h_max = 1e-3 below the delays, the first runs look up 128
+    # steps whose 384 stage times all query the history; each fill the
+    # solve makes is replayed against the per-query loop
+    fills = []
+    fill = ddesolver._fill_from_history
+
+    def recording(Z, q, history):
+        fills.append((Z.copy(), q.copy(), history))
+        fill(Z, q, history)
+
+    monkeypatch.setattr(ddesolver, "_fill_from_history", recording)
+    dde = pdl.DiscreteDelayDde(
+        dimension=2, delays=(0.5, 0.8),
+        rhs=lambda t, y, Z: -Z.sum(axis=1) + np.array([0.0, math.sin(t)]),
+        history=lambda t: [1.0 + t, math.exp(t)])
+    pdl.solve(dde, 1.0, pdl.SolverOptions(h_max=1e-3))
+    assert max(np.count_nonzero(q <= 0.0) for _, q, _ in fills) >= 300
+    monkeypatch.undo()
+    for Z, q, history in fills:
+        _assert_fill_matches_loop(Z, q, history)
+
+
+def test_derivative_sum_overflow_keeps_the_per_step_solve():
+    # finite derivative entries whose sum passes the float range from
+    # t = 0.6 on: each such step ends its batched run early, and the
+    # steps taken stay those of the per-attempt loop
+    c = 1.5e308
+    dde = pdl.DiscreteDelayDde(
+        dimension=2, delays=(0.5,),
+        rhs=lambda t, y, Z: c * t * np.array(
+            [1.0, 1.0 + 0.1 * math.sin(20.0 * t) + 0.1 * Z[0, 0] / c]),
+        history=lambda t: np.zeros(2))
+    # h_init skips the first-step probe, whose derivative estimate
+    # overflows on this rhs
+    opts = pdl.SolverOptions(h_max=0.01, h_init=0.01)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        batched = pdl.solve(dde, 1.0, opts)
+        per_step = _per_step(dde, 1.0, opts)
+    assert any(math.isinf(sum(row)) for row in batched.derivs.tolist())
+    for name in ("mesh", "states", "derivs", "steps_taken",
+                 "steps_rejected"):
+        assert np.array_equal(getattr(batched, name),
+                              getattr(per_step, name)), name
