@@ -5,41 +5,29 @@ reuse and a cubic Hermite continuous extension. Delayed states are looked
 up by the method of steps: the step size never exceeds the smallest
 delay, so every delayed query of a step falls inside territory that is
 already accepted when the step starts (or in the history function for
-arguments at or below zero). Every attempt that no earlier lookup
-covers looks up the 3 * (number of delays) queries of its own stage
-times at its start, with one searchsorted over the mesh and one
-vectorised Hermite evaluation; its queries at or below zero take their
-states from one history call each, gathered in one masked assignment.
-An attempt at the step cap (h_max or the smallest delay) that neither
-lands on a stop nor halves the gap to one also looks up the following
-steps at that size in the same call, up to _RUN_STEPS steps in all and
-short of the next stop and the mesh end.
-The run serves the following attempts while they stay at the cap: a
-rejection or a shrinking step leaves it, and no stop is near enough to
-cut a run step, so an attempt at the cap is the next predicted one. An
-in-order cumsum gives the loop's own start times, the Hermite is
-elementwise, and no run query passes the mesh end, so the run's values
-equal per-attempt lookups bit for bit.
-Once the cap has held for `held` >= 2 accepted steps in a row, an
-attempt at the cap also takes the run's steps back to back, at most
-`held` of them (and no more than the run and the step budget hold):
-each step by the same stage expressions, with no error check or
-bookkeeping of its own. One vectorised pass then computes their error
-norms, and the steps up to the first norm above 0.7 are taken with
-slice writes. The controller keeps the cap after any norm up to 0.729,
-so those steps are exactly the ones the per-attempt loop takes; the
-margin covers the rounding of the batched error product. The first step
-past them is tried again on its own, which decides it as before, and a
-run cut short starts `held` afresh, so the discarded steps never cost
-more rhs calls than the accepted ones. They are speculative work, not
-rejections: steps_rejected counts only attempts that the per-attempt
-loop rejects. Mesh, states and derivatives live in preallocated arrays
-that double when full, and the stages are checked for finiteness once
-per step, through the error norm, or inside a batched run, where a
-derivative whose entries do not sum to a finite float ends the run at
-once. That plain-Python sum misses no non-finite entry; finite entries
-whose sum overflows only end the run early, and the per-attempt path
-then takes the same steps.
+arguments at or below zero). A lookup serves all its queries with one
+searchsorted over the mesh and one vectorised Hermite evaluation; its
+queries at or below zero take their states from one history call each,
+gathered in one masked assignment.
+An attempt that no earlier lookup covers makes one: at the step cap
+(h_max or the smallest delay), unless it lands on a stop or halves the
+gap to one, it looks up a run of steps at that size, up to _RUN_STEPS
+and short of the next stop and the mesh end; otherwise it looks up its
+own three stage times. An in-order cumsum gives the run the loop's own
+start times, so its values equal those of single lookups bit for bit.
+Every attempt goes through one step body: it takes k >= 1 steps of its
+lookup back to back, computes their k error norms in one pass and
+commits the accepted steps with one set of slice writes. k exceeds 1
+only at the cap, once the cap has held for `held` accepted steps in a
+row, and is at most `held`. A single step meets the controller: accept
+at a norm up to 1.0, reject above, resize h. Of k >= 2 steps the prefix
+up to the first norm above 0.7 is taken and h stays at the cap; the
+controller keeps the cap after any norm up to 0.729, so these are the
+steps single attempts take, and the first step past them is tried again
+alone. The discarded steps are speculative work, not rejections. A
+non-finite stage makes its step's norm nan or inf; inside a run, a
+derivative whose entries do not sum to a finite float ends the steps at
+once. Mesh, states and derivatives live in arrays that double when full.
 When y' jumps at t = 0, as under a constant history, y'' jumps at each
 delay, and the mesh lands exactly there; the later jumps, at sums of
 delays, are in y''' and higher and are left to the error estimate.
@@ -55,9 +43,10 @@ _EPS = float(np.finfo(float).eps)
 # Embedded 3(2) tableau (Bogacki-Shampine). The advancing solution has
 # order 3; the _E coefficients give the difference against the embedded
 # order-2 solution and sum to zero. Stage 4 is the derivative at the new
-# point, reused as stage 1 of the next step. A step's products with them
-# use ndarray.dot, which costs about half of `@` on so few entries and
-# gives the same bits.
+# point, reused as stage 1 of the next step. The state update uses
+# ndarray.dot, about half the cost of `@` on so few entries; the error
+# products of an attempt's steps are one stacked `@`, which at one step
+# gives the bits of ndarray.dot.
 _C2 = 0.5
 _C3 = 0.75
 _B = np.array([2.0 / 9.0, 1.0 / 3.0, 4.0 / 9.0])
@@ -338,25 +327,24 @@ def solve(dde, t_end, opts=None):
         if not h0 > 0.0:
             raise SolverError("step size underflow at t = 0")
         f1 = checked_rhs(h0, y0 + h0 * f0)
-        dm = max(d1, float(np.max(np.abs(f1 - f0) / scale)) / h0)
+        with np.errstate(over="ignore"):
+            dm = max(d1, float(np.max(np.abs(f1 - f0) / scale)) / h0)
         h1 = ((0.01 / dm) ** (1.0 / 3.0) if dm > 1e-15
               else max(1e-6, h0 * 1e-3))
         h = min(100.0 * h0, h1)
     atol, rtol = opts.atol, opts.rtol
-    # the current run: its steps' start times and last end time, their
+    # the current lookup: its steps' start times and last end time, their
     # delayed states, and the index of its next step
     run_t, run_Z, r = [], (), 0
     # accepted attempts in a row at the cap; an attempt below it, a
     # rejection and a cut run start the count afresh
     held = 0
-    # stage derivatives; row 0 is the derivative at the current point
-    K = np.empty((4, d))
-    K0, K1, _, K3 = K
-    K012 = K[:3]
-    K0[:] = f0
+    # stage derivatives of an attempt's steps; K[j, 0] is the derivative
+    # at the start of step j, so K[0, 0] is the one at the current point
+    K = np.empty((_RUN_STEPS + 1, 4, d))
+    K[0, 0] = f0
     t = 0.0
     y = y0
-    abs_y = np.abs(y0)
     stop_idx = 0
     taken = 0
     rejected = 0
@@ -381,9 +369,6 @@ def solve(dde, t_end, opts=None):
         if h <= 1e3 * _EPS * abs(t):
             raise SolverError("step size underflow at t = %.17g" % t)
 
-        t2 = t + _C2 * h
-        t3 = t + _C3 * h
-        t_new = next_stop if on_stop else t + h
         # an attempt below the cap ends the run: it follows a rejection or
         # a shrinking step
         if not (r < len(run_Z) and h == h_cap):
@@ -391,90 +376,67 @@ def solve(dde, t_end, opts=None):
             if h == h_cap and not on_stop:
                 run_t, run_Z = run(t, h, next_stop)
             else:
-                run_Z = delayed((t2, t3, t_new))[None]
-        k = min(held, len(run_Z) - r, opts.max_steps - taken - rejected)
-        if k >= 2:
-            # k steps of the run back to back, each by the stage
-            # expressions below; one pass after them checks their errors.
-            # No step at the cap underflows: that needs t >= h_cap /
-            # (1e3 eps), over 4e12 steps of the budget checked above.
-            if n + k > mesh.size:
-                mesh, states, derivs = map(_doubled, (mesh, states, derivs))
-            KB = np.empty((k + 1, 4, d))
-            KB[0, 0] = K0
-            for j in range(k):
-                Kj = KB[j]
-                tj = run_t[r + j]
-                Z = run_Z[r + j]
-                Kj[1] = rhs(tj + _C2 * h, y + (_C2 * h) * Kj[0], Z[0])
-                Kj[2] = rhs(tj + _C3 * h, y + (_C3 * h) * Kj[1], Z[1])
-                states[n + j] = y + h * _B.dot(Kj[:3])
-                y = states[n + j]
-                Kj[3] = KB[j + 1, 0] = rhs(run_t[r + j + 1], y, Z[2])
-                # a non-finite derivative ends the run at once; finite
-                # entries whose sum overflows end it too, and the
-                # per-attempt path then takes the same steps
-                if not math.isfinite(sum(Kj[3].tolist())):
-                    k = j + 1
-                    break
-            A = np.abs(states[n - 1:n + k])
-            norms = h * (np.abs(_E @ KB[:k])
-                         / (atol + rtol * np.maximum(A[:-1], A[1:]))).max(1)
-            # norms up to 0.729 keep h_cap, and 0.7 leaves room for the
-            # rounding of the batched product; the first step past the
-            # prefix is tried again alone, which would raise at once if
-            # its stages are non-finite
-            kk = int((norms <= 0.7).cumprod().sum())
-            if kk < k and not np.isfinite(KB[kk]).all():
-                raise SolverError(
-                    "non-finite right-hand side in the step from t = %g"
-                    % run_t[r + kk])
+                t_new = next_stop if on_stop else t + h
+                run_t = [t, t_new]
+                run_Z = delayed((t + _C2 * h, t + _C3 * h, t_new))[None]
+        # k steps of the lookup back to back, more than one only once the
+        # cap has held. No step after the first underflows: that needs
+        # t >= h_cap / (1e3 eps), over 4e12 steps of the budget checked
+        # above.
+        k = min(held, len(run_Z) - r, opts.max_steps - taken - rejected) or 1
+        if n + k > mesh.size:
+            mesh, states, derivs = map(_doubled, (mesh, states, derivs))
+        for j in range(k):
+            Kj = K[j]
+            tj = run_t[r + j]
+            Z = run_Z[r + j]
+            Kj[1] = rhs(tj + _C2 * h, y + (_C2 * h) * Kj[0], Z[0])
+            Kj[2] = rhs(tj + _C3 * h, y + (_C3 * h) * Kj[1], Z[1])
+            states[n + j] = y + h * _B.dot(Kj[:3])
+            y = states[n + j]
+            Kj[3] = K[j + 1, 0] = rhs(run_t[r + j + 1], y, Z[2])
+            # a non-finite derivative ends the steps at once; so do finite
+            # entries whose sum overflows, which only shortens the attempt
+            if j + 1 < k and not math.isfinite(sum(Kj[3].tolist())):
+                k = j + 1
+                break
+        # a non-finite stage makes its step's norm nan or inf
+        A = np.abs(states[n - 1:n + k])
+        norms = (np.abs(_E @ K[:k])
+                 / (atol + rtol * np.maximum(A[:-1], A[1:]))).max(1)
+        if k == 1:
+            # the controller: accept a norm up to 1.0, then resize
+            enorm = h * float(norms[0])
+            kk = int(enorm <= 1.0)
+            rejected += 1 - kk
+            grow = (5.0 if enorm == 0.0
+                    else min(5.0, max(0.2, 0.9 * enorm ** (-1.0 / 3.0))))
+        else:
+            # the controller keeps h_cap after a norm up to 0.729, and 0.7
+            # leaves room for the rounding of the stacked product: the
+            # steps before the first norm above it are the ones single
+            # attempts take, the first one after is tried again alone, and
+            # h stays at the cap
+            kk = int((h * norms <= 0.7).cumprod().sum())
+            grow = 1.0
+        if kk < k and not np.isfinite(K[kk]).all():
+            raise SolverError(
+                "non-finite right-hand side in the step from t = %g"
+                % run_t[r + kk])
+        held = held + kk if kk == k and h == h_cap else 0
+        h *= grow
+        if kk:
             mesh[n:n + kk] = run_t[r + 1:r + kk + 1]
-            derivs[n:n + kk] = KB[:kk, 3]
+            derivs[n:n + kk] = K[:kk, 3]
             n += kk
             taken += kk
             r += kk
             t = run_t[r]
-            y = states[n - 1]
-            abs_y = A[kk]
-            K0[:] = derivs[n - 1]
-            held = held + kk if kk == k else 0
-            continue
-
-        Z = run_Z[r]
-        r += 1
-        K1[:] = rhs(t2, y + (_C2 * h) * K0, Z[0])
-        K[2] = rhs(t3, y + (_C3 * h) * K1, Z[1])
-        y_new = y + h * _B.dot(K012)
-        K3[:] = rhs(t_new, y_new, Z[2])
-        abs_new = np.abs(y_new)
-        # a non-finite stage makes the norm nan or inf
-        enorm = h * float((np.abs(_E.dot(K))
-                           / (atol + rtol * np.maximum(abs_y, abs_new))).max())
-
-        if enorm <= 1.0:
-            if n == mesh.size:
-                mesh, states, derivs = map(_doubled, (mesh, states, derivs))
-            mesh[n] = t_new
-            states[n] = y_new
-            derivs[n] = K3
-            n += 1
-            t = t_new
-            y = y_new
-            abs_y = abs_new
-            K0[:] = K3
-            taken += 1
-            held = held + 1 if h == h_cap else 0
+            K[0, 0] = K[kk, 0]
             if on_stop:
                 stop_idx += 1
-        elif not (math.isfinite(enorm) or np.isfinite(K).all()):
-            raise SolverError(
-                "non-finite right-hand side in the step from t = %g" % t)
-        else:
-            rejected += 1
-            held = 0
-        h *= (5.0 if enorm == 0.0
-              else min(5.0, max(0.2, 0.9 * enorm ** (-1.0 / 3.0))))
+        # the steps moved y on; it returns to the last accepted state
+        y = states[n - 1]
 
     # Exact-length views: rows past n were never written, so they take
     # address space but no memory. Copies would briefly double the result

@@ -335,6 +335,16 @@ def test_step_size_underflow_raises_solver_error():
         history=lambda t: np.array([1.0]))
     with pytest.raises(pdl.SolverError, match="underflow at t = 0"):
         pdl.solve(dde, 1.0, pdl.SolverOptions(max_steps=1000))
+    # the probe's df/dt estimate overflows instead, and fails the same
+    # way, without a warning
+    c = 1.5e308
+    dde = pdl.DiscreteDelayDde(
+        dimension=2, delays=(0.5,),
+        rhs=lambda t, y, Z: c * t * np.array(
+            [1.0, 1.0 + 0.1 * math.sin(20.0 * t) + 0.1 * Z[0, 0] / c]),
+        history=lambda t: np.zeros(2))
+    with pytest.raises(pdl.SolverError, match="underflow at t = 0"):
+        pdl.solve(dde, 1.0, pdl.SolverOptions(h_max=0.01))
 
 
 def test_nonfinite_rhs_raises_solver_error():
@@ -699,20 +709,30 @@ def test_batched_runs_discard_steps_and_keep_the_trajectory():
         assert np.array_equal(getattr(batched, name), getattr(per_step, name))
 
 
-@pytest.mark.parametrize("preset, m, calls", [
-    ("case-i", None, 20006), ("case-ii", None, 24008),
-    ("case-i", 8, 20015), ("case-ii", 8, 24014)])
-def test_published_runs_discard_no_step(preset, m, calls):
-    # the published solves are h_max-bound with no error above the
-    # margin, so every batched step is taken: 3 calls a step, plus the
-    # first derivative and the first-step probe
-    config = cli.PRESETS[preset]
+@pytest.mark.parametrize("preset, m, changes, rejected, calls", [
+    ("case-i", None, {}, 0, 20006), ("case-ii", None, {}, 0, 24008),
+    ("case-i", 8, {}, 0, 20015), ("case-ii", 8, {}, 0, 24014),
+    # error control sets these steps: the dense-output solve, whose
+    # attempts are all single ones, and the uncapped case i, whose
+    # attempts at the smallest delay get one-step runs
+    ("case-ii", None, dict(h_max=math.inf, rtol=1e-9, atol=1e-12), 1,
+     29795),
+    ("case-i", None, dict(h_max=math.inf), 0, 1502)],
+    ids=["case-i-None-20006", "case-ii-None-24008", "case-i-8-20015",
+         "case-ii-8-24014", "case-ii-dense-29795", "case-i-hmax-inf-1502"])
+def test_published_runs_discard_no_step(preset, m, changes, rejected,
+                                        calls):
+    # no step is discarded: 3 rhs calls an attempt, plus the first
+    # derivative and the first-step probe. The preset solves are
+    # h_max-bound with no error above the margin, so every batched step
+    # is taken.
+    config = dataclasses.replace(cli.PRESETS[preset], **changes)
     _, base = cli._problem(config)
     t_end, opts = cli._integration(config)
     dde, count = _counted(cli._route(config, base, m))
     traj = pdl.solve(dde, t_end, opts)
-    assert traj.steps_rejected == 0
-    assert count[0] == 3 * traj.steps_taken + 2 == calls
+    assert traj.steps_rejected == rejected
+    assert count[0] == 3 * (traj.steps_taken + rejected) + 2 == calls
 
 
 def test_nonfinite_rhs_deep_in_a_run_raises_at_its_step():
