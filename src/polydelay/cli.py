@@ -9,7 +9,11 @@ residuals; `stationary` prints the model equilibria.
 Configuration is a flat set of key=value pairs, assembled from built-in
 defaults, an optional named preset, an optional config file, and
 command-line flags, in that order of precedence. Floats are written with
-17 significant digits so the CSV round-trips bit-exactly.
+17 significant digits so the CSV round-trips bit-exactly. A CSV cell is
+defined as `_fmt`, '%.17g' of the value; `write_csv` produces the same
+bytes a block at a time, from exact integer arithmetic on the float bits
+of the finite nonzero values with 1e-11 <= |x| < 1e15, and calls `_fmt`
+for every other cell.
 """
 
 import argparse
@@ -284,6 +288,209 @@ def _fmt(value):
     return _FMT % float(value)
 
 
+# write_csv gives each cell the bytes of _fmt without a % per cell: for a
+# whole block, numpy rounds every float to 17 significant digits with
+# exact integer arithmetic on its bits, lays out each cell in a row of
+# _CELL bytes padded with NULs, and one bytes.translate drops the padding.
+# This covers finite nonzero |x| in [1e-11, 1e15); any other cell, and
+# the rare one next to a power of ten whose decade log10 misjudges, is
+# written by _fmt itself.
+_U = np.uint64
+_CELL = 32
+_POW5 = _U(5) ** np.arange(28, dtype=_U)  # 5**27 < 2**63
+_ONES = _U(2 ** 64 - 1)
+_LOW32 = _U(2 ** 32 - 1)
+_E16, _E17 = _U(10 ** 16), _U(10 ** 17)
+# word 0 of a cell with -4 <= e < 0 at index -e: "0." and -e - 1 zeros
+# after the sign byte; word 3 with e < -4 at index -e: "e-" and the two
+# exponent digits after the last two digit bytes
+_LEADS = np.array([0] + [int.from_bytes(b"0." + b"0" * i, "little") << 8
+                         for i in range(4)], dtype=_U)
+_EXPONENTS = np.array([0] * 5 + [int.from_bytes(b"e-%02d" % i, "little") << 16
+                                 for i in range(5, 12)], dtype=_U)
+
+
+def _times_pow5(m, p):
+    # m 5**p as hi 2**64 + lo, from the 32-bit halves of m < 2**53 and
+    # 5**p < 2**63; m is overwritten
+    f = _POW5[p]
+    m_lo, f_lo = m & _LOW32, f & _LOW32
+    m >>= _U(32)
+    f >>= _U(32)
+    lo = m_lo * f_lo
+    # the middle product m_lo f_hi + m_hi f_lo < 2**63 + 2**53
+    m_lo *= f
+    f_lo *= m
+    m_lo += f_lo
+    m *= f
+    m += m_lo >> _U(32)
+    m_lo <<= _U(32)
+    m_lo += lo
+    m += m_lo < lo
+    return m, m_lo
+
+
+def _decimal(x):
+    # (d, e, ok): where ok, |x| rounded to 17 significant digits is
+    # d 10**(e - 16) with 10**16 <= d < 10**17
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k = np.floor(np.log10(np.abs(x)))
+    ok = (k >= -11) & (k <= 14)
+    k = np.where(ok, k, 0).astype(np.int16)
+    bits = np.where(ok, x, 1.0).view(_U)
+    # |x| 10**p = m 5**p 2**-s with p = 16 - k, m the 53-bit significand
+    # and s = 1075 - p - the biased exponent: 1 <= s <= 62 for every
+    # -11 <= k <= 14 and |x| within a decade of 10**k
+    s = (1059 + k - (bits >> _U(52) & _U(0x7FF)).astype(np.int16)).astype(_U)
+    bits &= _U(2 ** 52 - 1)
+    bits |= _U(2 ** 52)
+    hi, lo = _times_pow5(bits, 16 - k)
+    d = lo >> s
+    hi <<= _U(64) - s
+    d |= hi
+    # where log10 misjudged the decade, d leaves [10**16, 10**17). The
+    # lower bound is checked on the truncated d: checked after the
+    # rounding, 9.9999999999999995e-07 put in decade -6 would pass as 1e-06
+    ok &= d >= _E16
+    # round half to even on the exact remainder
+    half = _U(1) << (s - _U(1))
+    lo &= ~(_ONES << s)
+    d += (lo > half) | (lo == half) & ((d & _U(1)) == _U(1))
+    # no float in the covered range rounds up to a power of ten; one that
+    # did would be left to _fmt
+    ok &= d < _E17
+    return d, k, ok
+
+
+def _eight_digits(v):
+    # v < 10**8 as eight digit values, the leading one in the low byte:
+    # one division splits v into two 4-digit lanes, multiply-and-shift
+    # divisions then split every lane in two; v is overwritten
+    q = v // _U(10000)
+    v -= q * _U(10000)
+    v <<= _U(32)
+    v |= q
+    np.multiply(v, _U(10486), out=q)
+    q >>= _U(20)
+    q &= _U(0x0000007F0000007F)
+    v -= q * _U(100)
+    v <<= _U(16)
+    v |= q
+    np.multiply(v, _U(103), out=q)
+    q >>= _U(10)
+    q &= _U(0x000F000F000F000F)
+    v -= q * _U(10)
+    v <<= _U(8)
+    v |= q
+    return v
+
+
+def _top_byte(w):
+    # index of the highest non-zero byte of w != 0, from the exponent of
+    # float(w); with every byte at most 9, the top 53 bits hold a zero, so
+    # the rounding cannot reach the next power of two
+    top = w.astype(np.float64).view(np.int64)
+    top >>= 52
+    top -= 1023
+    return (top >> 3).astype(np.int8)
+
+
+def _digits(d, words):
+    # the 17 digits of 10**16 <= d < 10**17 as bytes 0..16 (values 0..9)
+    # of the three little-endian words; returns their count without the
+    # trailing zeros. d is overwritten
+    first, a, b = words
+    np.floor_divide(d, _E16, out=first)
+    d -= first * _E16
+    np.floor_divide(d, _U(10 ** 8), out=a)
+    d -= a * _U(10 ** 8)
+    _eight_digits(a)
+    _eight_digits(d)
+    n = np.where(d != 0, 10 + _top_byte(d),
+                 np.where(a != 0, 2 + _top_byte(a), 1)).astype(np.int8)
+    first |= a << _U(8)
+    a >>= _U(56)
+    a |= d << _U(8)
+    np.right_shift(d, _U(56), out=b)
+    return n
+
+
+def _low(nbytes, out=None):
+    # words whose low min(max(nbytes, 0), 8) bytes are 0xff, in out if given
+    mask = np.empty(len(nbytes), _U) if out is None else out
+    np.clip(nbytes, 0, 8, out=mask, casting="unsafe")
+    mask <<= _U(3)
+    np.left_shift(_ONES, mask, out=mask)
+    return np.invert(mask, out=mask)
+
+
+def _place_digits(words, keep, point):
+    # turns the first `keep` digit bytes of the three words into ASCII,
+    # leaves the rest NUL, and inserts a point after byte `point` (none
+    # for point >= 24); the last word goes first, so the byte a later word
+    # pushes out lands in a finished one
+    for i in (2, 1, 0):
+        w = words[i]
+        low = _low(keep - 8 * i)
+        low &= _U(int.from_bytes(b"0" * 8, "little"))
+        w |= low
+        _low(point - 8 * i, out=low)
+        low &= w
+        w ^= low
+        if i < 2:
+            words[i + 1] |= w >> _U(56)
+        w <<= _U(8)
+        w |= low
+        np.copyto(low, point - 8 * i, casting="unsafe")
+        low <<= _U(3)
+        w |= np.left_shift(_U(ord(".")), low, out=low)
+
+
+def _csv_cells(block):
+    # each cell of the 2-d float64 block, with its separator, as _CELL
+    # bytes held in the column of a word-major array of little-endian
+    # words: word 0 has the sign and any "0." and zeros before the
+    # digits, words 1-3 the digits with the point and then the exponent,
+    # the last byte the separator; NULs pad the rest
+    x = block.ravel()
+    d, e, ok = _decimal(x)
+    cells = np.zeros((_CELL // 8, len(x)), dtype="<u8")
+    n = _digits(d, cells[1:])
+    # spent: freed before the layout's temporaries are made
+    del d
+    # %.17g writes e < -4 as d.ddde-XX, and -4 <= e < 0 as "0." and -e - 1
+    # zeros before the digits; written are the significant digits, in
+    # fixed notation also all up to the units, with a point after digit
+    # `point` if digits follow it
+    expo = e < -4
+    lead = (e >= -4) & (e < 0)
+    keep = np.where(e >= 0, np.maximum(n, e + 1), n)
+    point = np.where(expo, 1, e + 1)
+    point[lead | (n <= point)] = 24
+    _place_digits(cells[1:], keep, point)
+    cells[0] = _LEADS[np.where(lead, -e, 0)]
+    cells[0] |= (x.view(_U) >> _U(63)) * _U(ord("-"))
+    cells[3] |= _EXPONENTS[np.where(expo, -e, 0)]
+    bad = np.flatnonzero(~ok)
+    if len(bad):
+        # _fmt of a float has at most 24 characters
+        cells[:, bad] = 0
+        cells[:3, bad] = np.array([_fmt(v).encode() for v in x[bad]],
+                                  dtype="S24").view("<u8").reshape(-1, 3).T
+    cells[3] |= _U(ord(",") << 56)
+    cells[3].reshape(block.shape)[:, -1] ^= _U((ord(",") ^ ord("\n")) << 56)
+    return cells
+
+
+def _csv_rows(block):
+    # the CSV text of a 2-d float64 block
+    if not block.shape[1]:
+        return "\n" * len(block)
+    # chained, so each intermediate is freed as soon as it is read
+    return (_csv_cells(block).T.tobytes()
+            .translate(None, b"\0").decode("ascii"))
+
+
 @contextmanager
 def _output(path):
     # path None is standard output; a path is opened only once the run
@@ -309,19 +516,21 @@ def _output(path):
 
 
 def write_csv(header, blocks, path=None):
-    """Emit the header, then each block of rows, as CSV with
-    17-significant-digit floats.
+    """Emit the header, then each block of rows, as CSV whose cells are
+    _fmt of each value: 17 significant digits, which read back as the
+    identical float.
 
     blocks is an iterable of 2-d arrays (or lists of rows), each formatted
     as it arrives, so a generator's blocks are computed while the file is
-    written. path None writes to standard output. Identical inputs produce
-    byte-identical files."""
+    written. A block is converted to float64 and formatted at once: the
+    cells of finite nonzero values with 1e-11 <= |x| < 1e15 come from exact
+    integer arithmetic on the float's bits, every other cell from _fmt, and
+    both give _fmt's bytes. path None writes to standard output. Identical
+    inputs produce byte-identical files."""
     with _output(path) as fh:
         fh.write(",".join(header) + "\n")
         for block in blocks:
-            block = np.asarray(block)
-            line = ",".join([_FMT] * block.shape[1]) + "\n"
-            fh.write((line * len(block)) % tuple(block.ravel().tolist()))
+            fh.write(_csv_rows(np.asarray(block, dtype=np.float64)))
 
 
 def _emit_lines(lines, path=None):

@@ -1,15 +1,19 @@
 """Command-line front end: config assembly, CSV contract, exit codes."""
 
+import contextlib
 import dataclasses
 import io
 import math
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import polydelay as pdl
 from polydelay import cli, ddesolver
@@ -215,7 +219,8 @@ def test_write_csv_cells_are_fmt_of_each_value(tmp_path, capsys):
     header = ["m", "a", "b", "c"]
     rows = [[1, -0.0, math.inf, math.nan],
             [12, -math.inf, 5e-324, 2.2250738585072014e-308 / 3.0],
-            [3, 0.1, -1.0 / 3.0, 1e300]]
+            [3, 0.1, -1.0 / 3.0, 1e300],
+            [4, 1.00000762939453125, 9.9999999999999995e-07, -1e15]]
     cli.write_csv(header, [rows])
     out = capsys.readouterr().out
     target = tmp_path / "cells.csv"
@@ -236,6 +241,121 @@ def test_write_csv_cells_are_fmt_of_each_value(tmp_path, capsys):
     assert cells == [[cli._fmt(v) for v in row] for row in rows]
     assert cells[0] == ["1", "-0", "inf", "nan"]
     assert cells[1][:3] == ["12", "-inf", "4.9406564584124654e-324"]
+    # a tie rounds to the even digit; a value just below a power of ten
+    # keeps its decade
+    assert cells[3] == ["4", "1.0000076293945312", "9.9999999999999995e-07",
+                        "-1000000000000000"]
+
+
+def _csv_text(header, blocks):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli.write_csv(header, blocks)
+    return out.getvalue()
+
+
+def _fmt_csv(header, blocks):
+    # the definition write_csv must reproduce: _fmt of every cell
+    lines = [",".join(header)]
+    for block in blocks:
+        lines += [",".join(map(cli._fmt, row))
+                  for row in np.asarray(block, dtype=float).tolist()]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.integers(0, 1100), cols=st.integers(0, 9),
+       cut=st.integers(0, 1100), seed=st.integers(0, 2 ** 32 - 1))
+def test_write_csv_cells_are_fmt_of_any_bits(rows, cols, cut, seed):
+    # any 64 bits as a float: nan payloads, infinities, subnormals, signed
+    # zeros and every exponent; half the cells get an exponent with
+    # |x| about 1e-12..1e16, the range the arithmetic covers. The rows are
+    # cut into two blocks at any row, so one may be empty
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2 ** 64, size=(rows, cols), dtype=np.uint64)
+    exponent = rng.integers(1023 - 40, 1023 + 54, size=bits.shape,
+                            dtype=np.uint64)
+    near = rng.random(bits.shape) < 0.5
+    bits[near] = (bits[near] & np.uint64(0x800FFFFFFFFFFFFF)
+                  | exponent[near] << np.uint64(52))
+    block = bits.view(np.float64)
+    blocks = [block[:cut], block[cut:]]
+    header = ["c%d" % i for i in range(cols)]
+    assert _csv_text(header, blocks) == _fmt_csv(header, blocks)
+
+
+def _ulps(x, n):
+    # the float n steps of one ulp above x (below for n < 0)
+    for _ in range(abs(n)):
+        x = math.nextafter(x, math.inf if n > 0 else 0.0)
+    return x
+
+
+def _ties(j):
+    # the odd multiples m 2**-k in [10**j, 10**(j + 1)) with k = 17 - j:
+    # 18 significant digits, the last a 5, so the 17-digit rounding ties
+    k = 17 - j
+    lo = math.ceil(Fraction(10) ** j * 2 ** k)
+    hi = math.ceil(Fraction(10) ** (j + 1) * 2 ** k) - 1
+    return st.integers(lo // 2, (hi - 1) // 2).map(
+        lambda i: math.ldexp(2 * i + 1, -k))
+
+
+_TARGETED = st.one_of(
+    st.integers(-7, 14).flatmap(_ties),
+    # powers of ten and the floats around them. The float nearest 1e-06
+    # lies below it and is 9.9999999999999995e-07; the one nearest 1e-14
+    # also lies below it, but rounds up into the next decade
+    st.builds(lambda k, n: _ulps(float(Fraction(10) ** k), n),
+              st.integers(-14, 16), st.integers(-64, 3)),
+    # the edges of the covered range and of the normal floats
+    st.builds(_ulps, st.sampled_from([1e-11, 1e15, 2.2250738585072014e-308,
+                                      5e-324, sys.float_info.max]),
+              st.integers(-3, 3)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_TARGETED, st.booleans()), min_size=1,
+                max_size=50))
+def test_write_csv_cells_are_fmt_of_edge_values(draws):
+    values = [-x if negative else x for x, negative in draws]
+    blocks = [np.array(values)[:, None], [values]]
+    assert _csv_text(["x"], blocks[:1]) == _fmt_csv(["x"], blocks[:1])
+    header = ["c%d" % i for i in range(len(values))]
+    assert _csv_text(header, blocks[1:]) == _fmt_csv(header, blocks[1:])
+
+
+def _layout(x):
+    # (e, n) of _fmt(x): the decimal exponent and the significant digits
+    digits, _, e = ("%.16e" % x).partition("e")
+    return int(e), len(digits.replace(".", "").rstrip("0"))
+
+
+def test_write_csv_covers_every_layout():
+    # one float for each decimal exponent e the arithmetic covers, each
+    # count n of significant digits and each sign: the first n-digit
+    # decimal t 10**(e - n + 1), in a fixed sequence, whose float takes
+    # the layout (e, n). For n = 1 all nine are tried: for e = -5, -6, -7
+    # none is close enough to a float, so no float takes those layouts
+    values, unreachable = [], []
+    for e in range(-11, 15):
+        for n in range(1, 18):
+            rng = random.Random(17 * e + n)
+            tries = (range(1, 10) if n == 1 else
+                     (rng.randrange(10 ** (n - 2), 10 ** (n - 1)) * 10
+                      + rng.randrange(1, 10) for _ in range(2000)))
+            found = next((x for x in (float("%de%d" % (t, e - n + 1))
+                                      for t in tries)
+                          if _layout(x) == (e, n)), None)
+            if found is None:
+                unreachable.append((e, n))
+            else:
+                values.append(found)
+    assert unreachable == [(-7, 1), (-6, 1), (-5, 1)]
+    block = np.array([values, [-x for x in values]])
+    header = ["c%d" % i for i in range(len(values))]
+    assert _csv_text(header, [block]) == _fmt_csv(header, [block])
 
 
 def test_solve_blocks_equal_sample(tmp_path, capsys, monkeypatch):
@@ -286,6 +406,40 @@ def test_solve_blocks_hold_one_block_of_memory():
     large, rows_large = peak(400000)
     assert (rows_small, rows_large) == (50000, 400000)
     assert abs(large - small) <= 0.1e6, (small, large)
+
+
+def test_write_csv_holds_one_block_of_memory():
+    # the rows are formatted and written a block at a time: writing 8
+    # times as many rows to a file peaks no higher
+    def peak(samples):
+        config = cli.assemble_config(preset="case-i", h_max=np.inf,
+                                     samples=samples)
+        rows = []
+
+        def counted(blocks):
+            for block in blocks:
+                rows.append(len(block))
+                yield block
+
+        tracemalloc.start()
+        try:
+            header, blocks, _ = cli.run_solve(config)
+            cli.write_csv(header, counted(blocks), os.devnull)
+            return tracemalloc.get_traced_memory()[1], sum(rows)
+        finally:
+            tracemalloc.stop()
+
+    small, rows_small = peak(50000)
+    large, rows_large = peak(400000)
+    assert (rows_small, rows_large) == (50000, 400000)
+    assert abs(large - small) <= 0.1e6, (small, large)
+
+
+def test_cli_import_builds_no_formatter_table():
+    # the CSV formatter keeps a few constant words at module level; any
+    # larger table would be built on import, which every run pays
+    arrays = [v for v in vars(cli).values() if isinstance(v, np.ndarray)]
+    assert sum(a.nbytes for a in arrays) <= 1024
 
 
 def test_quad_table_case_i_single_node(capsys):
