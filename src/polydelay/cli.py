@@ -11,9 +11,11 @@ defaults, an optional named preset, an optional config file, and
 command-line flags, in that order of precedence. Floats are written with
 17 significant digits so the CSV round-trips bit-exactly. A CSV cell is
 defined as `_fmt`, '%.17g' of the value; `write_csv` produces the same
-bytes a block at a time, from exact integer arithmetic on the float bits
-of the finite nonzero values with 1e-11 <= |x| < 1e15, and calls `_fmt`
-for every other cell.
+bytes a block at a time: exact integer arithmetic on the float bits
+writes each value with 1e-4 <= x < 1e7 into one fixed-point frame, and
+`_fmt` writes every other cell. The preset runs write 4 cells outside
+that range, their zeros and early R values, and the dense-output run 281
+of its 900,000.
 """
 
 import argparse
@@ -290,24 +292,30 @@ def _fmt(value):
 
 # write_csv gives each cell the bytes of _fmt without a % per cell: for a
 # whole block, numpy rounds every float to 17 significant digits with
-# exact integer arithmetic on its bits, lays out each cell in a row of
-# _CELL bytes padded with NULs, and one bytes.translate drops the padding.
-# This covers finite nonzero |x| in [1e-11, 1e15); any other cell, and
-# the rare one next to a power of ten whose decade log10 misjudges, is
-# written by _fmt itself.
+# exact integer arithmetic on its bits and writes each cell into a
+# fixed-point frame of _CELL bytes, NUL wherever '%.17g' writes nothing
+# (leading and trailing zeros, a point with no digit after it); one
+# bytes.translate drops the NULs, so no byte moves to another word. This
+# covers 1e-4 <= x < 1e7, which '%.17g' writes without sign or exponent;
+# any other cell, and the rare one next to a power of ten whose decade
+# log10 misjudges, is written by _fmt itself.
 _U = np.uint64
 _CELL = 32
-_POW5 = _U(5) ** np.arange(28, dtype=_U)  # 5**27 < 2**63
+_POW5 = _U(5) ** np.arange(21, dtype=_U)
 _ONES = _U(2 ** 64 - 1)
 _LOW32 = _U(2 ** 32 - 1)
 _E16, _E17 = _U(10 ** 16), _U(10 ** 17)
-# word 0 of a cell with -4 <= e < 0 at index -e: "0." and -e - 1 zeros
-# after the sign byte; word 3 with e < -4 at index -e: "e-" and the two
-# exponent digits after the last two digit bytes
-_LEADS = np.array([0] + [int.from_bytes(b"0." + b"0" * i, "little") << 8
-                         for i in range(4)], dtype=_U)
-_EXPONENTS = np.array([0] * 5 + [int.from_bytes(b"e-%02d" % i, "little") << 16
-                                 for i in range(5, 12)], dtype=_U)
+# by the decimal exponent e = -4..6, at index e + 4: of the 17 digits d,
+# d // _SPLIT is the integer part, the remainder times _SHIFT holds the
+# digits after the point at the front of 17, and _INTEGER is the text of
+# word 0: "0" on each integer digit and the point after them, or "0."
+# and -e - 1 zeros
+_DECADES = range(-4, 7)
+_SPLIT = np.array([10 ** min(16 - e, 17) for e in _DECADES], dtype=_U)
+_SHIFT = np.array([10 ** max(e + 1, 0) for e in _DECADES], dtype=_U)
+_INTEGER = np.array([int.from_bytes(
+    (b"0" * (e + 1) + b"." if e >= 0 else b"0." + b"0" * (-e - 1))
+    .rjust(8, b"\0"), "little") for e in _DECADES], dtype=_U)
 
 
 def _times_pow5(m, p):
@@ -331,16 +339,16 @@ def _times_pow5(m, p):
 
 
 def _decimal(x):
-    # (d, e, ok): where ok, |x| rounded to 17 significant digits is
-    # d 10**(e - 16) with 10**16 <= d < 10**17
+    # (d, e, ok): where ok, x rounded to 17 significant digits is
+    # d 10**(e - 16) with 10**16 <= d < 10**17 and -4 <= e <= 6
     with np.errstate(divide="ignore", invalid="ignore"):
         k = np.floor(np.log10(np.abs(x)))
-    ok = (k >= -11) & (k <= 14)
+    ok = (k >= -4) & (k <= 6) & (x > 0)
     k = np.where(ok, k, 0).astype(np.int16)
     bits = np.where(ok, x, 1.0).view(_U)
-    # |x| 10**p = m 5**p 2**-s with p = 16 - k, m the 53-bit significand
+    # x 10**p = m 5**p 2**-s with p = 16 - k, m the 53-bit significand
     # and s = 1075 - p - the biased exponent: 1 <= s <= 62 for every
-    # -11 <= k <= 14 and |x| within a decade of 10**k
+    # -4 <= k <= 6 and x within a decade of 10**k
     s = (1059 + k - (bits >> _U(52) & _U(0x7FF)).astype(np.int16)).astype(_U)
     bits &= _U(2 ** 52 - 1)
     bits |= _U(2 ** 52)
@@ -396,9 +404,9 @@ def _top_byte(w):
 
 
 def _digits(d, words):
-    # the 17 digits of 10**16 <= d < 10**17 as bytes 0..16 (values 0..9)
-    # of the three little-endian words; returns their count without the
-    # trailing zeros. d is overwritten
+    # the 17 digits of d < 10**17, with leading zeros below 10**16, as
+    # bytes 0..16 (values 0..9) of the three little-endian words; returns
+    # their count without the trailing zeros, 0 for d = 0. d is overwritten
     first, a, b = words
     np.floor_divide(d, _E16, out=first)
     d -= first * _E16
@@ -407,7 +415,8 @@ def _digits(d, words):
     _eight_digits(a)
     _eight_digits(d)
     n = np.where(d != 0, 10 + _top_byte(d),
-                 np.where(a != 0, 2 + _top_byte(a), 1)).astype(np.int8)
+                 np.where(a != 0, 2 + _top_byte(a), first != 0)
+                 ).astype(np.int16)
     first |= a << _U(8)
     a >>= _U(56)
     a |= d << _U(8)
@@ -415,62 +424,45 @@ def _digits(d, words):
     return n
 
 
-def _low(nbytes, out=None):
-    # words whose low min(max(nbytes, 0), 8) bytes are 0xff, in out if given
-    mask = np.empty(len(nbytes), _U) if out is None else out
+def _low(nbytes):
+    # words whose low min(max(nbytes, 0), 8) bytes are 0xff
+    mask = np.empty(len(nbytes), _U)
     np.clip(nbytes, 0, 8, out=mask, casting="unsafe")
     mask <<= _U(3)
     np.left_shift(_ONES, mask, out=mask)
     return np.invert(mask, out=mask)
 
 
-def _place_digits(words, keep, point):
-    # turns the first `keep` digit bytes of the three words into ASCII,
-    # leaves the rest NUL, and inserts a point after byte `point` (none
-    # for point >= 24); the last word goes first, so the byte a later word
-    # pushes out lands in a finished one
-    for i in (2, 1, 0):
-        w = words[i]
-        low = _low(keep - 8 * i)
-        low &= _U(int.from_bytes(b"0" * 8, "little"))
-        w |= low
-        _low(point - 8 * i, out=low)
-        low &= w
-        w ^= low
-        if i < 2:
-            words[i + 1] |= w >> _U(56)
-        w <<= _U(8)
-        w |= low
-        np.copyto(low, point - 8 * i, casting="unsafe")
-        low <<= _U(3)
-        w |= np.left_shift(_U(ord(".")), low, out=low)
-
-
 def _csv_cells(block):
     # each cell of the 2-d float64 block, with its separator, as _CELL
     # bytes held in the column of a word-major array of little-endian
-    # words: word 0 has the sign and any "0." and zeros before the
-    # digits, words 1-3 the digits with the point and then the exponent,
-    # the last byte the separator; NULs pad the rest
+    # words: word 0 holds the integer digits and the point, or "0." and
+    # any zeros after it, right-aligned; words 1-3 the digits after the
+    # point, left-aligned, and the separator in the last byte
     x = block.ravel()
     d, e, ok = _decimal(x)
+    e += 4
     cells = np.zeros((_CELL // 8, len(x)), dtype="<u8")
+    # the integer part to word 0, the digits after the point to the front
+    # of d; one word of temporaries at a time
+    word = _SPLIT[e]
+    np.floor_divide(d, word, out=cells[0])
+    word *= cells[0]
+    d -= word
+    del word
+    d *= _SHIFT[e]
     n = _digits(d, cells[1:])
-    # spent: freed before the layout's temporaries are made
     del d
-    # %.17g writes e < -4 as d.ddde-XX, and -4 <= e < 0 as "0." and -e - 1
-    # zeros before the digits; written are the significant digits, in
-    # fixed notation also all up to the units, with a point after digit
-    # `point` if digits follow it
-    expo = e < -4
-    lead = (e >= -4) & (e < 0)
-    keep = np.where(e >= 0, np.maximum(n, e + 1), n)
-    point = np.where(expo, 1, e + 1)
-    point[lead | (n <= point)] = 24
-    _place_digits(cells[1:], keep, point)
-    cells[0] = _LEADS[np.where(lead, -e, 0)]
-    cells[0] |= (x.view(_U) >> _U(63)) * _U(ord("-"))
-    cells[3] |= _EXPONENTS[np.where(expo, -e, 0)]
+    for i in range(3):
+        digits = _low(n - 8 * i)
+        digits &= _U(int.from_bytes(b"0" * 8, "little"))
+        cells[i + 1] |= digits
+    del digits
+    _eight_digits(cells[0])
+    cells[0] >>= _U(8)
+    cells[0] |= _INTEGER[e]
+    # the point of an integral value is dropped
+    cells[0] ^= (n == 0) * _U(ord(".") << 56)
     bad = np.flatnonzero(~ok)
     if len(bad):
         # _fmt of a float has at most 24 characters
@@ -523,10 +515,11 @@ def write_csv(header, blocks, path=None):
     blocks is an iterable of 2-d arrays (or lists of rows), each formatted
     as it arrives, so a generator's blocks are computed while the file is
     written. A block is converted to float64 and formatted at once: the
-    cells of finite nonzero values with 1e-11 <= |x| < 1e15 come from exact
-    integer arithmetic on the float's bits, every other cell from _fmt, and
-    both give _fmt's bytes. path None writes to standard output. Identical
-    inputs produce byte-identical files."""
+    cells of values with 1e-4 <= x < 1e7, written by '%.17g' in fixed point
+    without a sign, come from exact integer arithmetic on the float's bits,
+    every other cell (zero, negative, non-finite, or outside that range)
+    from _fmt, and both give _fmt's bytes. path None writes to standard
+    output. Identical inputs produce byte-identical files."""
     with _output(path) as fh:
         fh.write(",".join(header) + "\n")
         for block in blocks:

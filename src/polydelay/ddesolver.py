@@ -346,15 +346,15 @@ def solve(dde, t_end, opts=None):
     t = 0.0
     y = y0
     stop_idx = 0
-    taken = 0
     rejected = 0
 
     while t < t_end:
-        if taken + rejected >= opts.max_steps:
+        # the n - 1 steps after the initial point are the accepted ones
+        if n - 1 + rejected >= opts.max_steps:
             raise SolverError(
                 "step budget of %d exhausted at t = %g "
                 "(%d accepted, %d rejected)"
-                % (opts.max_steps, t, taken, rejected))
+                % (opts.max_steps, t, n - 1, rejected))
         next_stop = stops[stop_idx]
         remaining = next_stop - t
         h = min(h, h_cap)
@@ -383,7 +383,7 @@ def solve(dde, t_end, opts=None):
         # cap has held. No step after the first underflows: that needs
         # t >= h_cap / (1e3 eps), over 4e12 steps of the budget checked
         # above.
-        k = min(held, len(run_Z) - r, opts.max_steps - taken - rejected) or 1
+        k = min(held, len(run_Z) - r, opts.max_steps - (n - 1) - rejected) or 1
         if n + k > mesh.size:
             mesh, states, derivs = map(_doubled, (mesh, states, derivs))
         for j in range(k):
@@ -429,7 +429,6 @@ def solve(dde, t_end, opts=None):
             mesh[n:n + kk] = run_t[r + 1:r + kk + 1]
             derivs[n:n + kk] = K[:kk, 3]
             n += kk
-            taken += kk
             r += kk
             t = run_t[r]
             K[0, 0] = K[kk, 0]
@@ -444,7 +443,7 @@ def solve(dde, t_end, opts=None):
     # kept later temporaries resident (+3.7 MB peak RSS when sampling
     # 100000 points).
     return Trajectory(mesh=mesh[:n], states=states[:n], derivs=derivs[:n],
-                      steps_taken=taken, steps_rejected=rejected)
+                      steps_taken=n - 1, steps_rejected=rejected)
 
 
 def dense_eval(traj, t):

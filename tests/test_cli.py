@@ -308,9 +308,11 @@ _TARGETED = st.one_of(
     # also lies below it, but rounds up into the next decade
     st.builds(lambda k, n: _ulps(float(Fraction(10) ** k), n),
               st.integers(-14, 16), st.integers(-64, 3)),
-    # the edges of the covered range and of the normal floats
-    st.builds(_ulps, st.sampled_from([1e-11, 1e15, 2.2250738585072014e-308,
-                                      5e-324, sys.float_info.max]),
+    # the edges of the range the arithmetic covers, of a wider one, and of
+    # the normal floats
+    st.builds(_ulps, st.sampled_from([1e-4, 1e7, 1e-11, 1e15,
+                                      2.2250738585072014e-308, 5e-324,
+                                      sys.float_info.max]),
               st.integers(-3, 3)),
 )
 
@@ -333,11 +335,13 @@ def _layout(x):
 
 
 def test_write_csv_covers_every_layout():
-    # one float for each decimal exponent e the arithmetic covers, each
-    # count n of significant digits and each sign: the first n-digit
-    # decimal t 10**(e - n + 1), in a fixed sequence, whose float takes
-    # the layout (e, n). For n = 1 all nine are tried: for e = -5, -6, -7
-    # none is close enough to a float, so no float takes those layouts
+    # one float for each decimal exponent -11 <= e <= 14, each count n of
+    # significant digits and each sign: the first n-digit decimal
+    # t 10**(e - n + 1), in a fixed sequence, whose float takes the layout
+    # (e, n) of '%.17g'. The positive ones with -4 <= e <= 6 go through
+    # the arithmetic, the rest through _fmt. For n = 1 all nine are tried:
+    # for e = -5, -6, -7 none is close enough to a float, so no float
+    # takes those layouts
     values, unreachable = [], []
     for e in range(-11, 15):
         for n in range(1, 18):
@@ -356,6 +360,25 @@ def test_write_csv_covers_every_layout():
     block = np.array([values, [-x for x in values]])
     header = ["c%d" % i for i in range(len(values))]
     assert _csv_text(header, [block]) == _fmt_csv(header, [block])
+
+
+@pytest.mark.parametrize("variant", [{}, {"variant": "quadrature", "m": 8}])
+def test_write_csv_leaves_only_the_preset_outliers_to_fmt(variant,
+                                                           monkeypatch):
+    # the cells of a preset run lie in [0, 1000]; _fmt, the slow path,
+    # writes only the zeros and the early R values below 1e-4, 4 cells on
+    # either route
+    config = cli.assemble_config(preset="case-i", **variant)
+    header, blocks, _ = cli.run_solve(config)
+    blocks = list(blocks)
+    cells = np.concatenate(blocks).ravel()
+    assert 0.0 <= cells.min() and cells.max() <= 1000.0
+    calls = []
+    fmt = cli._fmt
+    monkeypatch.setattr(cli, "_fmt", lambda v: calls.append(v) or fmt(v))
+    cli.write_csv(header, blocks, os.devnull)
+    assert sorted(calls) == sorted(cells[cells < 1e-4].tolist())
+    assert len(calls) == 4
 
 
 def test_solve_blocks_equal_sample(tmp_path, capsys, monkeypatch):
