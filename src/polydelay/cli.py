@@ -11,11 +11,11 @@ defaults, an optional named preset, an optional config file, and
 command-line flags, in that order of precedence. Floats are written with
 17 significant digits so the CSV round-trips bit-exactly. A CSV cell is
 defined as `_fmt`, '%.17g' of the value; `write_csv` produces the same
-bytes a block at a time: exact integer arithmetic on the float bits
-writes each value with 1e-4 <= x < 1e7 into one fixed-point frame, and
-`_fmt` writes every other cell. The preset runs write 4 cells outside
-that range, their zeros and early R values, and the dense-output run 281
-of its 900,000.
+bytes a block at a time: each value with 1e-4 <= x < 1e7 is rounded
+from its exact product with a power of ten, held as the sum of two
+floats, and written into one fixed-point frame, and `_fmt` writes every
+other cell. The preset runs write 4 cells outside that range, their
+zeros and early R values, and the dense-output run 281 of its 900,000.
 """
 
 import argparse
@@ -291,83 +291,83 @@ def _fmt(value):
 
 
 # write_csv gives each cell the bytes of _fmt without a % per cell: for a
-# whole block, numpy rounds every float to 17 significant digits with
-# exact integer arithmetic on its bits and writes each cell into a
-# fixed-point frame of _CELL bytes, NUL wherever '%.17g' writes nothing
-# (leading and trailing zeros, a point with no digit after it); one
-# bytes.translate drops the NULs, so no byte moves to another word. This
-# covers 1e-4 <= x < 1e7, which '%.17g' writes without sign or exponent;
-# any other cell, and the rare one next to a power of ten whose decade
-# log10 misjudges, is written by _fmt itself.
+# whole block, numpy rounds every float x to 17 significant digits from
+# the exact product x 10**(16 - e) as the sum of two floats, and writes
+# each cell into a fixed-point frame of _CELL bytes, NUL wherever '%.17g'
+# writes nothing (leading and trailing zeros, a point with no digit after
+# it); one bytes.translate drops the NULs, so no byte moves to another
+# word. This covers 1e-4 <= x < 1e7, which '%.17g' writes without sign or
+# exponent; any other cell, and the rare one next to a power of ten whose
+# decade log10 misjudges, is written by _fmt itself.
 _U = np.uint64
 _CELL = 32
-_POW5 = _U(5) ** np.arange(21, dtype=_U)
 _ONES = _U(2 ** 64 - 1)
-_LOW32 = _U(2 ** 32 - 1)
 _E16, _E17 = _U(10 ** 16), _U(10 ** 17)
 # by the decimal exponent e = -4..6, at index e + 4: of the 17 digits d,
 # d // _SPLIT is the integer part, the remainder times _SHIFT holds the
 # digits after the point at the front of 17, and _INTEGER is the text of
 # word 0: "0" on each integer digit and the point after them, or "0."
-# and -e - 1 zeros
+# and -e - 1 zeros. _TEN is 10**(16 - e), exact as 5**20 < 2**53
 _DECADES = range(-4, 7)
 _SPLIT = np.array([10 ** min(16 - e, 17) for e in _DECADES], dtype=_U)
 _SHIFT = np.array([10 ** max(e + 1, 0) for e in _DECADES], dtype=_U)
 _INTEGER = np.array([int.from_bytes(
     (b"0" * (e + 1) + b"." if e >= 0 else b"0." + b"0" * (-e - 1))
     .rjust(8, b"\0"), "little") for e in _DECADES], dtype=_U)
+_TEN = np.array([float(10 ** (16 - e)) for e in _DECADES])
 
 
-def _times_pow5(m, p):
-    # m 5**p as hi 2**64 + lo, from the 32-bit halves of m < 2**53 and
-    # 5**p < 2**63; m is overwritten
-    f = _POW5[p]
-    m_lo, f_lo = m & _LOW32, f & _LOW32
-    m >>= _U(32)
-    f >>= _U(32)
-    lo = m_lo * f_lo
-    # the middle product m_lo f_hi + m_hi f_lo < 2**63 + 2**53
-    m_lo *= f
-    f_lo *= m
-    m_lo += f_lo
-    m *= f
-    m += m_lo >> _U(32)
-    m_lo <<= _U(32)
-    m_lo += lo
-    m += m_lo < lo
-    return m, m_lo
+def _halves(x):
+    # Veltkamp's split of x into hi + lo, each of at most 26 significant
+    # bits, so the product of two halves is exact; x is overwritten by lo
+    hi = x * float(2 ** 27 + 1)
+    hi -= hi - x
+    x -= hi
+    return hi, x
+
+
+_TEN_HI, _TEN_LO = _halves(_TEN.copy())
 
 
 def _decimal(x):
-    # (d, e, ok): where ok, x rounded to 17 significant digits is
-    # d 10**(e - 16) with 10**16 <= d < 10**17 and -4 <= e <= 6
+    # (d, i, ok): where ok, x rounded to 17 significant digits is
+    # d 10**(i - 20) with 10**16 <= d < 10**17, and i = e + 4 indexes the
+    # decimal exponent -4 <= e <= 6 in the tables
     with np.errstate(divide="ignore", invalid="ignore"):
         k = np.floor(np.log10(np.abs(x)))
     ok = (k >= -4) & (k <= 6) & (x > 0)
-    k = np.where(ok, k, 0).astype(np.int16)
-    bits = np.where(ok, x, 1.0).view(_U)
-    # x 10**p = m 5**p 2**-s with p = 16 - k, m the 53-bit significand
-    # and s = 1075 - p - the biased exponent: 1 <= s <= 62 for every
-    # -4 <= k <= 6 and x within a decade of 10**k
-    s = (1059 + k - (bits >> _U(52) & _U(0x7FF)).astype(np.int16)).astype(_U)
-    bits &= _U(2 ** 52 - 1)
-    bits |= _U(2 ** 52)
-    hi, lo = _times_pow5(bits, 16 - k)
-    d = lo >> s
-    hi <<= _U(64) - s
-    d |= hi
-    # where log10 misjudged the decade, d leaves [10**16, 10**17). The
-    # lower bound is checked on the truncated d: checked after the
-    # rounding, 9.9999999999999995e-07 put in decade -6 would pass as 1e-06
+    k += 4
+    i = np.where(ok, k, 4).astype(np.int16)
+    del k
+    x = np.where(ok, x, 1.0)
+    # Dekker's product of the halves: x 10**(16 - e) = hi + lo exactly
+    hi = x * _TEN[i]
+    xh, x = _halves(x)
+    ph, pl = _TEN_HI[i], _TEN_LO[i]
+    lo = xh * ph
+    lo -= hi
+    xh *= pl
+    lo += xh
+    ph *= x
+    lo += ph
+    x *= pl
+    lo += x
+    del xh, ph, pl, x
+    # where x 10**(16 - e) >= 10**16 > 2**53, hi is an even integer and
+    # |lo| <= 8 is at most half an ulp of hi. The lower bound is checked
+    # on the truncated hi + floor(lo), added modulo 2**64: checked after
+    # the rounding, 9.9999999999999995e-07 put in decade -6 would pass
+    # as 1e-06
+    d = hi.astype(_U)
+    np.floor(lo, out=hi)
+    d += hi.astype(np.int64).view(_U)
     ok &= d >= _E16
-    # round half to even on the exact remainder
-    half = _U(1) << (s - _U(1))
-    lo &= ~(_ONES << s)
-    d += (lo > half) | (lo == half) & ((d & _U(1)) == _U(1))
+    # rint rounds the remainder half to even, and so d, as hi is even
+    d += np.rint(lo, out=lo) > hi
     # no float in the covered range rounds up to a power of ten; one that
     # did would be left to _fmt
     ok &= d < _E17
-    return d, k, ok
+    return d, i, ok
 
 
 def _eight_digits(v):
@@ -440,27 +440,26 @@ def _csv_cells(block):
     # any zeros after it, right-aligned; words 1-3 the digits after the
     # point, left-aligned, and the separator in the last byte
     x = block.ravel()
-    d, e, ok = _decimal(x)
-    e += 4
+    d, i, ok = _decimal(x)
     cells = np.zeros((_CELL // 8, len(x)), dtype="<u8")
     # the integer part to word 0, the digits after the point to the front
     # of d; one word of temporaries at a time
-    word = _SPLIT[e]
+    word = _SPLIT[i]
     np.floor_divide(d, word, out=cells[0])
     word *= cells[0]
     d -= word
     del word
-    d *= _SHIFT[e]
+    d *= _SHIFT[i]
     n = _digits(d, cells[1:])
     del d
-    for i in range(3):
-        digits = _low(n - 8 * i)
+    for j in range(3):
+        digits = _low(n - 8 * j)
         digits &= _U(int.from_bytes(b"0" * 8, "little"))
-        cells[i + 1] |= digits
+        cells[j + 1] |= digits
     del digits
     _eight_digits(cells[0])
     cells[0] >>= _U(8)
-    cells[0] |= _INTEGER[e]
+    cells[0] |= _INTEGER[i]
     # the point of an integral value is dropped
     cells[0] ^= (n == 0) * _U(ord(".") << 56)
     bad = np.flatnonzero(~ok)
@@ -516,10 +515,10 @@ def write_csv(header, blocks, path=None):
     as it arrives, so a generator's blocks are computed while the file is
     written. A block is converted to float64 and formatted at once: the
     cells of values with 1e-4 <= x < 1e7, written by '%.17g' in fixed point
-    without a sign, come from exact integer arithmetic on the float's bits,
-    every other cell (zero, negative, non-finite, or outside that range)
-    from _fmt, and both give _fmt's bytes. path None writes to standard
-    output. Identical inputs produce byte-identical files."""
+    without a sign, are rounded from the exact product of the value and a
+    power of ten, every other cell (zero, negative, non-finite, or outside
+    that range) from _fmt, and both give _fmt's bytes. path None writes to
+    standard output. Identical inputs produce byte-identical files."""
     with _output(path) as fh:
         fh.write(",".join(header) + "\n")
         for block in blocks:

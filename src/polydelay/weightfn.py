@@ -165,6 +165,11 @@ def beta_polynomial(a, b, p, q):
         raise ValueError(
             "interval [%g, %g] out of range for p = %d, q = %d: the density "
             "coefficients overflow a float" % (a, b, p, q)) from None
+    # the trailing coefficient is +-C, which is never zero before rounding
+    if coeffs[-1] == 0.0:
+        raise ValueError(
+            "interval [%g, %g] out of range for p = %d, q = %d: the density "
+            "coefficients underflow a float" % (a, b, p, q))
     return PolynomialWeight(a, b, coeffs)
 
 

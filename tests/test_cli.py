@@ -328,6 +328,39 @@ def test_write_csv_cells_are_fmt_of_edge_values(draws):
     assert _csv_text(header, blocks[1:]) == _fmt_csv(header, blocks[1:])
 
 
+def _decimal_agrees(values):
+    # where _decimal takes a value, its 17 digits and exponent are those
+    # of '%.16e'; inside [1e-4, 1e7) it leaves to _fmt only the floats
+    # within 8 ulps of a power of ten, whose decade log10 may misjudge
+    x = np.array(values, dtype=float)
+    d, i, ok = cli._decimal(x)
+    tens = np.array([float(Fraction(10) ** j) for j in range(-4, 8)])
+    for v, digits, e, taken in zip(x.tolist(), d.tolist(), (i - 4).tolist(),
+                                   ok.tolist()):
+        mantissa, _, exponent = ("%.16e" % v).partition("e")
+        if taken:
+            assert (str(digits), e) == (mantissa.replace(".", ""),
+                                        int(exponent)), v
+        elif 1e-4 <= v < 1e7:
+            ulps = np.abs(tens.view(np.int64) - np.float64(v).view(np.int64))
+            assert ulps.min() <= 8, v
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_TARGETED, min_size=1, max_size=50))
+def test_decimal_digits_are_those_of_printf_on_edge_values(values):
+    _decimal_agrees(values)
+
+
+def test_decimal_takes_all_but_the_floats_next_to_powers_of_ten():
+    # log-uniform over the range the arithmetic covers: a value wrongly
+    # left to _fmt still gets the right cell, so the byte tests cannot
+    # see it
+    rng = np.random.default_rng(1726)
+    values = 10.0 ** rng.uniform(-4, 7, 50000)
+    _decimal_agrees(values)
+
+
 def _layout(x):
     # (e, n) of _fmt(x): the decimal exponent and the significant digits
     digits, _, e = ("%.16e" % x).partition("e")

@@ -138,6 +138,18 @@ def test_beta_rejects_interval_that_overflows_the_density(a, b, p, q):
         pdl.beta_polynomial(a, b, p, q)
 
 
+@pytest.mark.parametrize("a, b, p, q", [
+    # the normalising constant 2/b^2 rounds to zero
+    (0.0, 1e300, 1, 0),
+    # 6/b^3, and 6 b/b^3 as well
+    (0.0, 1e200, 1, 1)])
+def test_beta_rejects_interval_that_underflows_the_density(a, b, p, q):
+    with pytest.raises(ValueError, match=re.escape(
+            "interval [0, %g] out of range for p = %d, q = %d: the density "
+            "coefficients underflow a float" % (b, p, q))):
+        pdl.beta_polynomial(a, b, p, q)
+
+
 def test_weight_rejects_trailing_zero_coefficient():
     with pytest.raises(ValueError):
         pdl.PolynomialWeight(a=0.0, b=1.0, coeffs=(1.0, 0.0))
