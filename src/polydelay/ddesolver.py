@@ -8,7 +8,10 @@ already accepted when the step starts (or in the history function for
 arguments at or below zero). A lookup serves all its queries with one
 searchsorted over the mesh and one vectorised Hermite evaluation; its
 queries at or below zero take their states from one history call each,
-gathered in one masked assignment.
+gathered in one masked assignment. A DDE with weights W gets one column
+per stage in place of one per delay: the lookup forms z_c = sum_j W[c, j]
+y_c(t - delays[j]) for all its stage times at once, adding in the order
+j = 0, 1, ... for every element, as a quadrature rule's weighted sum.
 An attempt that no earlier lookup covers makes one: at the step cap
 (h_max or the smallest delay), unless it lands on a stop or halves the
 gap to one, it looks up a run of steps at that size, up to _RUN_STEPS
@@ -71,7 +74,9 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class DiscreteDelayDde:
-    """DDE y'(t) = rhs(t, y(t), Z) with Z[:, j] = y(t - delays[j]).
+    """DDE y'(t) = rhs(t, y(t), Z) with Z[:, j] = y(t - delays[j]), or,
+    with weights W, the single column Z[c, 0] = sum_j W[c, j] y_c(t -
+    delays[j]).
 
     Attributes
     ----------
@@ -81,27 +86,44 @@ class DiscreteDelayDde:
         Strictly positive, finite lags, each more than 1e-12 above the
         next smaller one; stored sorted ascending.
     rhs : callable
-        rhs(t, y, Z) -> length-d derivative; Z has one column per delay.
+        rhs(t, y, Z) -> length-d derivative; Z has one column per delay,
+        or one column in all with weights.
     history : callable
         history(t) -> length-d state for t <= 0. solve() may also call it
         at times that a run of steps cut short never uses, so it must be
         deterministic and free of side effects.
+    weights : array or None
+        Finite (d, len(delays)) constants: solve() then hands rhs the
+        weighted sum of the delayed states of each component, formed once
+        per lookup for all its stage times. Column j weighs delays[j]; the
+        columns are reordered with the delays when those are sorted.
     """
 
     dimension: int
     delays: tuple
     rhs: object
     history: object
+    weights: object = None
 
     def __post_init__(self):
         if self.dimension < 1:
             raise ValueError("dimension must be at least 1")
-        delays = tuple(sorted(float(tau) for tau in self.delays))
+        given = [float(tau) for tau in self.delays]
+        order = sorted(range(len(given)), key=given.__getitem__)
+        delays = tuple(given[j] for j in order)
         if not all(0.0 < tau < math.inf for tau in delays):
             raise ValueError("delays must be strictly positive and finite")
         if np.any(np.diff(delays) <= _BREAKPOINT_MERGE):
             raise ValueError("delays must lie more than 1e-12 apart")
         object.__setattr__(self, "delays", delays)
+        if self.weights is not None:
+            weights = np.array(self.weights, dtype=float)
+            if weights.shape != (self.dimension, len(delays)):
+                raise ValueError("weights must have shape (%d, %d)"
+                                 % (self.dimension, len(delays)))
+            if not np.all(np.isfinite(weights)):
+                raise ValueError("weights must be finite")
+            object.__setattr__(self, "weights", weights[:, order])
 
 
 @dataclass(frozen=True)
@@ -243,6 +265,10 @@ def solve(dde, t_end, opts=None):
     if y0.shape != (d,):
         raise ValueError("history must return length-%d states" % d)
 
+    # with weights, a lookup collapses its delays into one column
+    WT = None if dde.weights is None else dde.weights.T.copy()
+    cols = delays.size if WT is None else 1
+
     mesh = np.empty(_INITIAL_CAPACITY)
     states = np.empty((_INITIAL_CAPACITY, d))
     derivs = np.empty((_INITIAL_CAPACITY, d))
@@ -252,7 +278,7 @@ def solve(dde, t_end, opts=None):
 
     def delayed(times):
         """Delayed states for the ascending stage times, shape
-        (len(times), d, len(delays)); the Z of stage s is [s]."""
+        (len(times), d, cols); the Z of stage s is [s]."""
         q = np.subtract.outer(times, delays)
         q_min = times[0] - tau_max
         q_max = times[-1] - tau_min
@@ -275,14 +301,19 @@ def solve(dde, t_end, opts=None):
                          else q)
         if q_min <= 0.0:
             _fill_from_history(Z, q, history)
-        return Z.transpose(0, 2, 1)
+        if WT is None:
+            return Z.transpose(0, 2, 1)
+        # the weighted sum reduces the delay axis in order j = 0, 1, ...
+        # for every element, however many times the lookup holds
+        Z *= WT
+        return Z.sum(1)[..., None]
 
     def run(t, h, next_stop):
         """The step of size h from t and the following steps of that
         size, up to _RUN_STEPS in all, while they stay short of next_stop
         by more than 2h and their queries stay below t: the list of their
         start times followed by the last end time, and their delayed
-        states, shape (steps, 3, d, len(delays))."""
+        states, shape (steps, 3, d, cols)."""
         # cumsum adds in order, so starts[k] is the float the step loop
         # reaches after k additions t + h
         ends = np.full(_RUN_STEPS + 1, h)
@@ -296,7 +327,7 @@ def solve(dde, t_end, opts=None):
         times = np.column_stack((starts[:k] + _C2 * h, starts[:k] + _C3 * h,
                                  ends[1:k + 1]))
         return (ends[:k + 1].tolist(),
-                delayed(times.ravel()).reshape(k, 3, d, delays.size))
+                delayed(times.ravel()).reshape(k, 3, d, cols))
 
     def checked_rhs(t, y):
         out = np.asarray(rhs(t, y, delayed((t,))[0]), dtype=float)

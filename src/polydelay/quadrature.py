@@ -116,8 +116,10 @@ def build_quadrature_dde(dde, rule):
 
     Each delayed component's integral becomes sum_k w_k y_c(t - tau_k),
     so the result is an ordinary DDE with the m nodes as discrete delays
-    and the dimension unchanged. The rule must target the weight's
-    support interval.
+    and the dimension unchanged. The rule's weights are the DDE's weights,
+    on the rows of the delayed components, so solve() forms the sums and
+    the rhs reads the integral z, zero in the other components, as the
+    one column of Z. The rule must target the weight's support interval.
     """
     a, b = dde.weight.a, dde.weight.b
     ra, rb = rule.interval
@@ -126,16 +128,12 @@ def build_quadrature_dde(dde, rule):
         raise ValueError(
             "rule interval [%g, %g] does not match the weight support "
             "[%g, %g]" % (ra, rb, a, b))
-    comps = sorted(dde.delayed_components)
-    weights = rule.weights
+    weights = np.zeros((dde.dimension, rule.nodes.size))
+    weights[sorted(dde.delayed_components)] = rule.weights
     base_rhs = dde.rhs
-    d = dde.dimension
 
     def rhs(t, y, Z):
-        z = np.zeros(d)
-        for c in comps:
-            z[c] = float(Z[c, :].dot(weights))
-        return base_rhs(t, y, z)
+        return base_rhs(t, y, Z[:, 0])
 
-    return DiscreteDelayDde(dimension=d, delays=tuple(rule.nodes),
-                            rhs=rhs, history=dde.history)
+    return DiscreteDelayDde(dimension=dde.dimension, delays=tuple(rule.nodes),
+                            rhs=rhs, history=dde.history, weights=weights)

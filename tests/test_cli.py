@@ -751,6 +751,51 @@ def test_every_subcommand_rejects_what_the_scaled_model_cannot_hold(
     assert "5.000000000001" in err and "rescaled to [a/b, 1]" in err
 
 
+@pytest.mark.parametrize("preset, changes", [
+    ("case-i", {}), ("case-ii", {}),
+    ("case-i", dict(sigma=0.3, theta=0.02, a=10.0, b=90.0, p=1, q=3))])
+def test_problem_builds_the_model_of_scale_distributed(preset, changes):
+    # _problem builds the SIR model with its rates in units of b days;
+    # scale_distributed of the model in days is the oracle
+    config = dataclasses.replace(cli.PRESETS[preset], **changes)
+    params, base = cli._problem(config)
+    assert (params.sigma, params.theta) == (config.sigma, config.theta)
+    oracle = pdl.scale_distributed(pdl.sir_distributed(params))
+    assert base.weight == oracle.weight
+    assert base.dimension == oracle.dimension
+    assert base.delayed_components == oracle.delayed_components
+    for t in (0.0, -0.25, -1.0):
+        assert np.array_equal(base.history(t), oracle.history(t))
+    # the two products round differently: each of at most five roundings
+    # moves a component by half an ulp of its largest term
+    rng = np.random.default_rng(11)
+    sb, tb = config.sigma * config.b, config.theta * config.b
+    for _ in range(500):
+        t = float(rng.uniform(0.0, 10.0))
+        y, z = rng.uniform(0.0, 1.0, 3), rng.uniform(0.0, 1.0, 3)
+        scale = sb * y[0] * y[1] + tb * (y[1] + z[1])
+        assert np.max(np.abs(base.rhs(t, y, z) - oracle.rhs(t, y, z))) \
+            <= 4 * ddesolver._EPS * scale
+
+
+@pytest.mark.parametrize("preset", ["case-i", "case-ii"])
+@pytest.mark.parametrize("variant", ["equivalent", "quadrature"])
+def test_problem_solves_as_scale_distributed(preset, variant, request):
+    # the session's preset solves build the model by scale_distributed,
+    # with the preset's m = 4 on the quadrature route
+    want = request.getfixturevalue(
+        "%s_%s" % (preset.replace("-", "_"), variant)).traj
+    config = cli.PRESETS[preset]
+    _, base = cli._problem(config)
+    t_end, opts = cli._integration(config)
+    got = pdl.solve(cli._route(config, base, config.m if variant ==
+                               "quadrature" else None), t_end, opts)
+    assert (got.steps_taken, got.steps_rejected) == \
+        (want.steps_taken, want.steps_rejected)
+    assert np.max(np.abs(pdl.sample(got, 1000)[1]
+                         - pdl.sample(want, 1000)[1])) <= 1e-10
+
+
 def test_equivalent_degree_over_the_bound_is_a_config_error(tmp_path,
                                                             capsys):
     path = tmp_path / "deg30.cfg"

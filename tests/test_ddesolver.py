@@ -241,6 +241,71 @@ def test_dde_validation():
                                  history=hist)
 
 
+def test_dde_weights_validation():
+    rhs = lambda t, y, Z: -Z[:, 0]
+    hist = lambda t: np.array([1.0, 0.0])
+    for bad in (np.ones((2, 3)), np.ones((1, 2)), np.ones(2)):
+        with pytest.raises(ValueError, match=r"shape \(2, 2\)"):
+            pdl.DiscreteDelayDde(dimension=2, delays=(0.5, 1.0), rhs=rhs,
+                                 history=hist, weights=bad)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            pdl.DiscreteDelayDde(dimension=2, delays=(0.5, 1.0), rhs=rhs,
+                                 history=hist,
+                                 weights=[[1.0, bad], [0.0, 0.0]])
+    assert pdl.DiscreteDelayDde(dimension=2, delays=(0.5, 1.0), rhs=rhs,
+                                history=hist).weights is None
+    # the columns follow the delays into ascending order
+    dde = pdl.DiscreteDelayDde(dimension=2, delays=(1.0, 0.25, 0.5), rhs=rhs,
+                               history=hist,
+                               weights=[[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+    assert dde.delays == (0.25, 0.5, 1.0)
+    assert np.array_equal(dde.weights, [[2.0, 3.0, 1.0], [5.0, 6.0, 4.0]])
+    # replace keeps them, in the stored order
+    again = dataclasses.replace(dde, rhs=lambda t, y, Z: Z[:, 0])
+    assert again.delays == dde.delays
+    assert np.array_equal(again.weights, dde.weights)
+
+
+def _weighted_pair():
+    """One DDE twice: with weights, and with an rhs that forms the
+    weighted sums itself from the full Z. The delays and the columns of W
+    are given out of order."""
+    delays = (1.0, 0.3, 0.7)
+    W = np.array([[0.2, 0.5, 0.3], [-0.4, 0.1, 0.0]])
+
+    def f(t, y, z):
+        return np.array([-z[0] + 0.1 * y[1], -z[1] - 0.5 * y[0]])
+
+    def hist(t):
+        return np.array([1.0 + t, math.cos(3.0 * t)])
+
+    full = pdl.DiscreteDelayDde(
+        dimension=2, delays=delays, history=hist,
+        rhs=lambda t, y, Z: f(t, y, (W[:, np.argsort(delays)] * Z).sum(1)))
+    weighted = pdl.DiscreteDelayDde(
+        dimension=2, delays=delays, history=hist, weights=W,
+        rhs=lambda t, y, Z: f(t, y, Z[:, 0]))
+    return full, weighted
+
+
+def test_weighted_lookups_match_an_rhs_that_sums(monkeypatch):
+    # run lookups serve the weighted sums of single lookups bit for bit
+    full, weighted = _weighted_pair()
+    opts = pdl.SolverOptions(h_max=0.01)
+    got = _solve_with_and_without_blocks(monkeypatch, weighted, 4.0, opts)
+    want = pdl.solve(full, 4.0, opts)
+    # the cap sets every step on both, so the meshes agree; the sums may
+    # be added in another order, which moves each step's state by a few
+    # ulps of its O(1) entries at most
+    assert got.steps_taken == want.steps_taken
+    assert got.steps_rejected == want.steps_rejected == 0
+    assert np.array_equal(got.mesh, want.mesh)
+    tol = 4 * ddesolver._EPS * got.steps_taken
+    assert np.max(np.abs(got.states - want.states)) <= tol
+    assert np.max(np.abs(got.derivs - want.derivs)) <= tol
+
+
 def test_solver_options_bounds():
     with pytest.raises(ValueError):
         pdl.SolverOptions(rtol=1e-14)
@@ -522,15 +587,23 @@ def test_long_solve_returns_exact_length_arrays():
 def _assert_served_states_exact(dde, traj, stages):
     """Every recorded stage (t, Z) has Z[:, j] equal, bit for bit, to
     the trajectory's continuous extension at t - delays[j], or to the
-    history there at or below 0. Holds while no step reaches the
-    smallest delay, where a query past the mesh end is clamped."""
+    history there at or below 0; with weights W, Z[:, 0] equals the sum
+    of W[:, j] times those states, added in order j = 0, 1, ... Holds
+    while no step reaches the smallest delay, where a query past the mesh
+    end is clamped."""
     Zs = np.array([Z for _, Z in stages])
     q = np.subtract.outer([t for t, _ in stages], dde.delays)
-    expected = np.empty_like(Zs)
+    expected = np.empty((len(stages), dde.dimension, len(dde.delays)))
     past = q > 0.0
     expected.transpose(0, 2, 1)[past] = pdl.dense_eval(traj, q[past])
     for s, j in zip(*np.nonzero(~past)):
         expected[s, :, j] = dde.history(q[s, j])
+    if dde.weights is not None:
+        W = dde.weights
+        column = W[:, 0] * expected[:, :, 0]
+        for j in range(1, len(dde.delays)):
+            column = column + W[:, j] * expected[:, :, j]
+        expected = column[:, :, None]
     assert np.array_equal(Zs, expected)
 
 

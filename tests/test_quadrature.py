@@ -162,18 +162,31 @@ def test_quadrature_dde_single_node_sits_at_mean(case_i_params):
 
 
 def test_quadrature_dde_constant_history_recovers_base_rhs(case_i_params):
-    # with Z constant, the discretised integral collapses to that constant
-    # because the weights sum to one
+    # with the delayed states constant, the discretised integral collapses
+    # to that constant because the weights sum to one; solve() hands the
+    # rhs the weighted sums as one column
     base = pdl.sir_distributed(case_i_params)
     rule = pdl.gauss_jacobi(4, 2, 2, 30, 150)
     dde = pdl.build_quadrature_dde(base, rule)
     y0 = np.array(case_i_params.y0)
-    Z = np.tile(y0[:, None], (1, 4))
+    column = (dde.weights * y0[:, None]).sum(1)[:, None]
     z = np.zeros(3)
     z[1] = y0[1]
-    got = dde.rhs(0.0, y0, Z)
+    assert column[:, 0] == pytest.approx(z, abs=1e-15)
+    got = dde.rhs(0.0, y0, column)
     want = base.rhs(0.0, y0, z)
     assert got == pytest.approx(want, abs=1e-15)
+
+
+def test_quadrature_dde_weights_are_the_rule_on_the_delayed_rows(
+        case_i_params):
+    base = pdl.sir_distributed(case_i_params)
+    rule = pdl.gauss_jacobi(5, 2, 2, 30, 150)
+    dde = pdl.build_quadrature_dde(base, rule)
+    assert dde.delays == tuple(rule.nodes)
+    assert dde.weights.shape == (3, 5)
+    assert np.array_equal(dde.weights[1], rule.weights)
+    assert not dde.weights[[0, 2]].any()
 
 
 def test_quadrature_dde_rejects_interval_mismatch(case_i_params):
