@@ -9,9 +9,10 @@ arguments at or below zero). A lookup serves all its queries with one
 searchsorted over the mesh and one vectorised Hermite evaluation; its
 queries at or below zero take their states from one history call each,
 gathered in one masked assignment. A DDE with weights W gets one column
-per stage in place of one per delay: the lookup forms z_c = sum_j W[c, j]
-y_c(t - delays[j]) for all its stage times at once, adding in the order
-j = 0, 1, ... for every element, as a quadrature rule's weighted sum.
+per stage in place of one per delay: the lookup forms Z[e, 0] = sum_j
+W[e, j] y_{sources[e]}(t - delays[j]) for all its stage times at once,
+adding in the order j = 0, 1, ... for every element, as a quadrature
+rule's weighted sum or an equivalent chain's delayed forcing.
 An attempt that no earlier lookup covers makes one: at the step cap
 (h_max or the smallest delay), unless it lands on a stop or halves the
 gap to one, it looks up a run of steps at that size, up to _RUN_STEPS
@@ -75,8 +76,8 @@ class SolverError(RuntimeError):
 @dataclass(frozen=True)
 class DiscreteDelayDde:
     """DDE y'(t) = rhs(t, y(t), Z) with Z[:, j] = y(t - delays[j]), or,
-    with weights W, the single column Z[c, 0] = sum_j W[c, j] y_c(t -
-    delays[j]).
+    with weights W, the single column Z[e, 0] = sum_j W[e, j]
+    y_{sources[e]}(t - delays[j]).
 
     Attributes
     ----------
@@ -94,9 +95,14 @@ class DiscreteDelayDde:
         deterministic and free of side effects.
     weights : array or None
         Finite (d, len(delays)) constants: solve() then hands rhs the
-        weighted sum of the delayed states of each component, formed once
-        per lookup for all its stage times. Column j weighs delays[j]; the
-        columns are reordered with the delays when those are sorted.
+        weighted sum of the delayed states of each row's component (see
+        sources), formed once per lookup for all its stage times. Column
+        j weighs delays[j]; the columns are reordered with the delays
+        when those are sorted.
+    sources : array or None
+        With weights only: d component indices in [0, d), where row e of
+        W reads component sources[e]. Without them row e reads
+        component e.
     """
 
     dimension: int
@@ -104,6 +110,7 @@ class DiscreteDelayDde:
     rhs: object
     history: object
     weights: object = None
+    sources: object = None
 
     def __post_init__(self):
         if self.dimension < 1:
@@ -124,6 +131,17 @@ class DiscreteDelayDde:
             if not np.all(np.isfinite(weights)):
                 raise ValueError("weights must be finite")
             object.__setattr__(self, "weights", weights[:, order])
+        if self.sources is not None:
+            if self.weights is None:
+                raise ValueError("sources need weights")
+            sources = np.asarray(self.sources)
+            if (sources.shape != (self.dimension,)
+                    or sources.dtype.kind not in "iu"
+                    or not np.all((0 <= sources)
+                                  & (sources < self.dimension))):
+                raise ValueError("sources must be %d component indices in "
+                                 "[0, %d)" % (self.dimension, self.dimension))
+            object.__setattr__(self, "sources", sources.astype(np.intp))
 
 
 @dataclass(frozen=True)
@@ -267,6 +285,7 @@ def solve(dde, t_end, opts=None):
 
     # with weights, a lookup collapses its delays into one column
     WT = None if dde.weights is None else dde.weights.T.copy()
+    sources = dde.sources
     cols = delays.size if WT is None else 1
 
     mesh = np.empty(_INITIAL_CAPACITY)
@@ -303,6 +322,8 @@ def solve(dde, t_end, opts=None):
             _fill_from_history(Z, q, history)
         if WT is None:
             return Z.transpose(0, 2, 1)
+        if sources is not None:
+            Z = Z.take(sources, 2)
         # the weighted sum reduces the delay axis in order j = 0, 1, ...
         # for every element, however many times the lookup holds
         Z *= WT

@@ -11,7 +11,10 @@ sum_i alpha_i x_i(t). The pair (y, x) therefore solves an ordinary DDE
 with just the two discrete delays a and b. This module builds that
 augmented system, its auxiliary initial and stationary values, the time
 scaling t -> t/b, and the nilpotent structure matrix of the auxiliary
-block, with which the rhs gets each chain and its integral in one product.
+block. The system is linear in its delayed values, so the solver's lookup
+forms each chain's delayed forcing a^i y_c(t-a) - b^i y_c(t-b) from the
+DDE's weights and sources, and the rhs gets the chains' i x_{i-1} and the
+integrals alpha . x from one product by a constant matrix.
 """
 
 from dataclasses import dataclass
@@ -101,8 +104,10 @@ def build_equivalent(dde):
     Every chain starts from one aux_initial_values call, which reads the
     history 32 times. The assembled DDE has dimension d + (n+1) * #delayed
     and delays {a, b}, or just {b} when a = 0 since a zero lag is the
-    current state. The rhs gets each chain's derivative and its integral
-    alpha . x from one product by a constant block on structure_matrix(n).
+    current state. Its weights and sources make the solver hand the rhs
+    each chain row's delayed forcing a^i y_c(t-a) - b^i y_c(t-b); the rhs
+    adds the chains' i x_{i-1}, and the y_c(t) term when a = 0, and gets
+    the integrals alpha . x from the same product by one constant matrix.
     Weights of degree above MAX_EQUIVALENT_DEGREE raise ValueError.
     """
     w = dde.weight
@@ -115,27 +120,30 @@ def build_equivalent(dde):
     d = dde.dimension
     comps = sorted(dde.delayed_components)
     dim = d + (n + 1) * len(comps)
-    # (x_0..x_n, y_c(t-a), y_c(t-b)) @ M = (x_0'..x_n', alpha . x)
-    M = np.zeros((n + 3, n + 2))
-    M[:n + 1] = np.column_stack((structure_matrix(n).T, w.coeffs))
-    M[n + 1:, :n + 1] = a ** np.arange(n + 1), -b ** np.arange(n + 1)
     degenerate = a == 0.0
+    powers = np.arange(n + 1)
+    # chain row o + i: x_i' = a^i y_c(t-a) - b^i y_c(t-b) + i x_{i-1}.
+    # solve() forms the delayed terms through W and sources; Y @ A gives
+    # the rest, and alpha . x in column c; the base rows' W stays zero
+    W = np.zeros((dim, 2))
+    sources = np.arange(dim)
+    A = np.zeros((dim, dim))
+    for o, c in zip(range(d, dim, n + 1), comps):
+        chain = slice(o, o + n + 1)
+        W[chain] = np.column_stack((a ** powers, -b ** powers))
+        sources[chain] = c
+        A[chain, chain] = structure_matrix(n).T
+        A[chain, c] = w.coeffs
+        if degenerate:
+            # a zero lag reads the current state
+            A[c, chain] = a ** powers
     base_rhs = dde.rhs
     base_hist = dde.history
 
-    def rhs(t, Y, Z):
-        z = np.zeros(d)
-        dY = np.empty(dim)
-        v = np.empty(n + 3)
-        for o, c in zip(range(d, dim, n + 1), comps):
-            v[:-2] = Y[o:o + n + 1]
-            # a = 0 reads the current state; y(t - b) is the last column
-            v[-2] = Y[c] if degenerate else Z[c, 0]
-            v[-1] = Z[c, -1]
-            out = v.dot(M)
-            dY[o:o + n + 1] = out[:-1]
-            z[c] = out[-1]
-        dY[:d] = base_rhs(t, Y[:d], z)
+    def rhs(t, Y, U):
+        zx = Y.dot(A)
+        dY = zx + U[:, 0]
+        dY[:d] = base_rhs(t, Y[:d], zx[:d])
         return dY
 
     # the auxiliary components are never read back in time by the rhs;
@@ -147,7 +155,8 @@ def build_equivalent(dde):
 
     assembled = DiscreteDelayDde(
         dimension=dim, delays=(b,) if degenerate else (a, b),
-        rhs=rhs, history=hist)
+        rhs=rhs, history=hist, weights=W[:, 1:] if degenerate else W,
+        sources=sources)
     return EquivalentSystem(degree=n, assembled=assembled)
 
 

@@ -265,14 +265,37 @@ def test_dde_weights_validation():
     again = dataclasses.replace(dde, rhs=lambda t, y, Z: Z[:, 0])
     assert again.delays == dde.delays
     assert np.array_equal(again.weights, dde.weights)
+    # sources: one component index in [0, d) per row of W, and only with W
+    assert dde.sources is None
+    for bad in ((0,), (0, 1, 1), [[0, 1]], (0, 2), (-1, 0), (0.0, 1.0),
+                (True, False)):
+        with pytest.raises(ValueError, match=r"2 component indices in "
+                                             r"\[0, 2\)"):
+            pdl.DiscreteDelayDde(dimension=2, delays=(0.5, 1.0), rhs=rhs,
+                                 history=hist, weights=np.ones((2, 2)),
+                                 sources=bad)
+    with pytest.raises(ValueError, match="sources need weights"):
+        pdl.DiscreteDelayDde(dimension=2, delays=(0.5, 1.0), rhs=rhs,
+                             history=hist, sources=(0, 0))
+    # the delay sort moves the columns of W, not the rows' sources
+    dde = pdl.DiscreteDelayDde(dimension=2, delays=(1.0, 0.25, 0.5), rhs=rhs,
+                               history=hist,
+                               weights=[[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]],
+                               sources=np.array([1, 0], dtype=np.int32))
+    assert np.array_equal(dde.sources, [1, 0])
+    assert np.array_equal(dde.weights, [[2.0, 3.0, 1.0], [5.0, 6.0, 4.0]])
+    again = dataclasses.replace(dde, rhs=lambda t, y, Z: Z[:, 0])
+    assert np.array_equal(again.sources, [1, 0])
+    assert np.array_equal(again.weights, dde.weights)
 
 
-def _weighted_pair():
-    """One DDE twice: with weights, and with an rhs that forms the
-    weighted sums itself from the full Z. The delays and the columns of W
-    are given out of order."""
+def _weighted_pair(sources=None):
+    """One DDE twice: with weights (and sources), and with an rhs that
+    forms the weighted sums itself from the full Z. The delays and the
+    columns of W are given out of order."""
     delays = (1.0, 0.3, 0.7)
     W = np.array([[0.2, 0.5, 0.3], [-0.4, 0.1, 0.0]])
+    rows = [0, 1] if sources is None else list(sources)
 
     def f(t, y, z):
         return np.array([-z[0] + 0.1 * y[1], -z[1] - 0.5 * y[0]])
@@ -282,28 +305,34 @@ def _weighted_pair():
 
     full = pdl.DiscreteDelayDde(
         dimension=2, delays=delays, history=hist,
-        rhs=lambda t, y, Z: f(t, y, (W[:, np.argsort(delays)] * Z).sum(1)))
+        rhs=lambda t, y, Z: f(t, y,
+                              (W[:, np.argsort(delays)] * Z[rows]).sum(1)))
     weighted = pdl.DiscreteDelayDde(
-        dimension=2, delays=delays, history=hist, weights=W,
+        dimension=2, delays=delays, history=hist, weights=W, sources=sources,
         rhs=lambda t, y, Z: f(t, y, Z[:, 0]))
     return full, weighted
 
 
 def test_weighted_lookups_match_an_rhs_that_sums(monkeypatch):
-    # run lookups serve the weighted sums of single lookups bit for bit
-    full, weighted = _weighted_pair()
-    opts = pdl.SolverOptions(h_max=0.01)
-    got = _solve_with_and_without_blocks(monkeypatch, weighted, 4.0, opts)
-    want = pdl.solve(full, 4.0, opts)
-    # the cap sets every step on both, so the meshes agree; the sums may
-    # be added in another order, which moves each step's state by a few
-    # ulps of its O(1) entries at most
-    assert got.steps_taken == want.steps_taken
-    assert got.steps_rejected == want.steps_rejected == 0
-    assert np.array_equal(got.mesh, want.mesh)
-    tol = 4 * ddesolver._EPS * got.steps_taken
-    assert np.max(np.abs(got.states - want.states)) <= tol
-    assert np.max(np.abs(got.derivs - want.derivs)) <= tol
+    # run lookups serve the weighted sums of single lookups bit for bit;
+    # with sources (0, 0), row 1 of W reads component 0
+    for sources in (None, (0, 0)):
+        full, weighted = _weighted_pair(sources)
+        opts = pdl.SolverOptions(h_max=0.01)
+        got = _solve_with_and_without_blocks(monkeypatch, weighted, 4.0,
+                                             opts)
+        # the next pass solves with runs again
+        monkeypatch.undo()
+        want = pdl.solve(full, 4.0, opts)
+        # the cap sets every step on both, so the meshes agree; the sums
+        # may be added in another order, which moves each step's state by
+        # a few ulps of its O(1) entries at most
+        assert got.steps_taken == want.steps_taken
+        assert got.steps_rejected == want.steps_rejected == 0
+        assert np.array_equal(got.mesh, want.mesh)
+        tol = 4 * ddesolver._EPS * got.steps_taken
+        assert np.max(np.abs(got.states - want.states)) <= tol
+        assert np.max(np.abs(got.derivs - want.derivs)) <= tol
 
 
 def test_solver_options_bounds():
@@ -587,10 +616,10 @@ def test_long_solve_returns_exact_length_arrays():
 def _assert_served_states_exact(dde, traj, stages):
     """Every recorded stage (t, Z) has Z[:, j] equal, bit for bit, to
     the trajectory's continuous extension at t - delays[j], or to the
-    history there at or below 0; with weights W, Z[:, 0] equals the sum
-    of W[:, j] times those states, added in order j = 0, 1, ... Holds
-    while no step reaches the smallest delay, where a query past the mesh
-    end is clamped."""
+    history there at or below 0; with weights W, Z[e, 0] equals the sum
+    of W[e, j] times those states of component sources[e] (or e), added
+    in order j = 0, 1, ... Holds while no step reaches the smallest delay,
+    where a query past the mesh end is clamped."""
     Zs = np.array([Z for _, Z in stages])
     q = np.subtract.outer([t for t, _ in stages], dde.delays)
     expected = np.empty((len(stages), dde.dimension, len(dde.delays)))
@@ -600,9 +629,11 @@ def _assert_served_states_exact(dde, traj, stages):
         expected[s, :, j] = dde.history(q[s, j])
     if dde.weights is not None:
         W = dde.weights
-        column = W[:, 0] * expected[:, :, 0]
+        rows = (np.arange(dde.dimension) if dde.sources is None
+                else dde.sources)
+        column = W[:, 0] * expected[:, rows, 0]
         for j in range(1, len(dde.delays)):
-            column = column + W[:, j] * expected[:, :, j]
+            column = column + W[:, j] * expected[:, rows, j]
         expected = column[:, :, None]
     assert np.array_equal(Zs, expected)
 

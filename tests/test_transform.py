@@ -33,6 +33,16 @@ def test_scalar_uniform_assembly():
     assert (w.a, w.b) == (0.5, 2.0)
 
 
+def _forcing(dde, Z):
+    # the one column solve() hands the assembled rhs for the delayed
+    # states Z: U[e, 0] = sum_j W[e, j] Z[sources[e], j], added in order j
+    W, rows = dde.weights, dde.sources
+    U = W[:, 0] * Z[rows, 0]
+    for j in range(1, len(dde.delays)):
+        U = U + W[:, j] * Z[rows, j]
+    return U[:, None]
+
+
 def test_scalar_uniform_aux_equation():
     # x_0' = y(t - a) - y(t - b), independent of the current state
     w = pdl.beta_polynomial(0.5, 2.0, 0, 0)
@@ -40,7 +50,7 @@ def test_scalar_uniform_aux_equation():
     Y = np.array([7.0, 3.0])
     Z = np.array([[4.0, 9.0],
                   [1.0, 1.0]])
-    dY = system.assembled.rhs(0.0, Y, Z)
+    dY = system.assembled.rhs(0.0, Y, _forcing(system.assembled, Z))
     assert dY[1] == pytest.approx(4.0 - 9.0, abs=1e-15)
 
 
@@ -54,7 +64,7 @@ def test_degree_two_chain_hand_values():
     x = np.array([0.3, 0.1, 0.07])
     Y = np.concatenate([[y], x])
     Z = np.array([[yb], [0.0], [0.0], [0.0]])
-    dY = system.assembled.rhs(0.0, Y, Z)
+    dY = system.assembled.rhs(0.0, Y, _forcing(system.assembled, Z))
     z = 6.0 * x[1] - 6.0 * x[2]
     assert dY[0] == pytest.approx(-z, rel=1e-15)
     assert dY[1] == pytest.approx(y - yb, rel=1e-15)
@@ -167,8 +177,33 @@ def test_assembled_rhs_matches_chain_loop(a, width, pq, comps, seed):
     # most (n + 4) eps of it
     scale = _chain_loop(np.abs(Y), np.abs(Z), 3, comps, np.abs(alpha),
                         apow, -bpow, lambda y, z: z + y)
-    got = assembled.rhs(0.0, Y, Z)
+    got = assembled.rhs(0.0, Y, _forcing(assembled, Z))
     assert np.all(np.abs(got - ref) <= (n + 4) * np.finfo(float).eps * scale)
+
+
+def test_model_keeps_the_z_it_is_handed():
+    # a model rhs may keep z: later calls leave each kept z holding its
+    # own call's alpha . x, zero in the components without a delay
+    w = pdl.beta_polynomial(0.5, 2.0, 1, 2)
+    kept = []
+
+    def keep(t, y, z):
+        kept.append((z, z.copy()))
+        return z - y
+
+    dde = pdl.DistributedDelayDde(
+        dimension=3, rhs=keep, weight=w, delayed_components=frozenset({0, 2}),
+        history=lambda t: np.ones(3))
+    assembled = pdl.build_equivalent(dde).assembled
+    rng = np.random.default_rng(5)
+    Ys = rng.uniform(-1.0, 1.0, (4, assembled.dimension))
+    for Y in Ys:
+        assembled.rhs(0.0, Y, rng.uniform(-1.0, 1.0, (assembled.dimension, 1)))
+    alpha = np.array(w.coeffs)
+    for (z, snapshot), Y in zip(kept, Ys):
+        assert np.array_equal(z, snapshot)
+        want = [alpha @ Y[3:7], 0.0, alpha @ Y[7:11]]
+        assert z == pytest.approx(want, rel=1e-14, abs=1e-15)
 
 
 @pytest.mark.parametrize("a", [0.0, 30.0])
