@@ -9,13 +9,13 @@ residuals; `stationary` prints the model equilibria.
 Configuration is a flat set of key=value pairs, assembled from built-in
 defaults, an optional named preset, an optional config file, and
 command-line flags, in that order of precedence. Floats are written with
-17 significant digits so the CSV round-trips bit-exactly. A CSV cell is
-defined as `_fmt`, '%.17g' of the value; `write_csv` produces the same
-bytes a block at a time: each value with 1e-4 <= x < 1e7 is rounded
-from its exact product with a power of ten, held as the sum of two
-floats, and written into one fixed-point frame, and `_fmt` writes every
-other cell. The preset runs write 4 cells outside that range, their
-zeros and early R values, and the dense-output run 281 of its 900,000.
+17 significant digits so the CSV round-trips bit-exactly: a cell is
+`_fmt`, '%.17g' of the value. `write_csv` makes the same bytes a block
+at a time: each x with 1e-4 <= x < 1e7 is rounded from its exact
+product with a power of ten, a sum of two floats; its 17 digits are
+written once into a fixed-point frame, the integer ones slid into the
+first word and the trailing zeros found by a byte smear. `_fmt` writes
+the other cells: 4 of a preset run, 281 of the dense-output run's 900,000.
 """
 
 import argparse
@@ -303,21 +303,20 @@ def _fmt(value):
 # each cell into a fixed-point frame of _CELL bytes, NUL wherever '%.17g'
 # writes nothing (leading and trailing zeros, a point with no digit after
 # it); one bytes.translate drops the NULs, so no byte moves to another
-# word. This covers 1e-4 <= x < 1e7, which '%.17g' writes without sign or
-# exponent; any other cell, and the rare one next to a power of ten whose
-# decade log10 misjudges, is written by _fmt itself.
+# word. The 17 digits are written once, the integer digits slid into
+# word 0, and the trailing zeros found with a byte smear. This covers
+# 1e-4 <= x < 1e7, which '%.17g' writes without sign or exponent; any
+# other cell, and the rare one next to a power of ten whose decade log10
+# misjudges, is written by _fmt itself.
 _U = np.uint64
 _CELL = 32
-_ONES = _U(2 ** 64 - 1)
 _E16, _E17 = _U(10 ** 16), _U(10 ** 17)
-# by the decimal exponent e = -4..6, at index e + 4: of the 17 digits d,
-# d // _SPLIT is the integer part, the remainder times _SHIFT holds the
-# digits after the point at the front of 17, and _INTEGER is the text of
-# word 0: "0" on each integer digit and the point after them, or "0."
-# and -e - 1 zeros. _TEN is 10**(16 - e), exact as 5**20 < 2**53
+# by the decimal exponent e = -4..6, at index e + 4: _SLIDE is 8 bits
+# for each of the e + 1 integer digits, none below 1; _INTEGER is the
+# text of word 0: "0" on each integer digit and the point after them, or
+# "0." and -e - 1 zeros. _TEN is 10**(16 - e), exact as 5**20 < 2**53
 _DECADES = range(-4, 7)
-_SPLIT = np.array([10 ** min(16 - e, 17) for e in _DECADES], dtype=_U)
-_SHIFT = np.array([10 ** max(e + 1, 0) for e in _DECADES], dtype=_U)
+_SLIDE = np.array([8 * max(e + 1, 0) for e in _DECADES], dtype=_U)
 _INTEGER = np.array([int.from_bytes(
     (b"0" * (e + 1) + b"." if e >= 0 else b"0." + b"0" * (-e - 1))
     .rjust(8, b"\0"), "little") for e in _DECADES], dtype=_U)
@@ -401,20 +400,9 @@ def _eight_digits(v):
     return v
 
 
-def _top_byte(w):
-    # index of the highest non-zero byte of w != 0, from the exponent of
-    # float(w); with every byte at most 9, the top 53 bits hold a zero, so
-    # the rounding cannot reach the next power of two
-    top = w.astype(np.float64).view(np.int64)
-    top >>= 52
-    top -= 1023
-    return (top >> 3).astype(np.int8)
-
-
 def _digits(d, words):
-    # the 17 digits of d < 10**17, with leading zeros below 10**16, as
-    # bytes 0..16 (values 0..9) of the three little-endian words; returns
-    # their count without the trailing zeros, 0 for d = 0. d is overwritten
+    # the 17 digits of 10**16 <= d < 10**17 as bytes 0..16 (values 0..9)
+    # of the three little-endian words; d is overwritten
     first, a, b = words
     np.floor_divide(d, _E16, out=first)
     d -= first * _E16
@@ -422,23 +410,10 @@ def _digits(d, words):
     d -= a * _U(10 ** 8)
     _eight_digits(a)
     _eight_digits(d)
-    n = np.where(d != 0, 10 + _top_byte(d),
-                 np.where(a != 0, 2 + _top_byte(a), first != 0)
-                 ).astype(np.int16)
     first |= a << _U(8)
     a >>= _U(56)
     a |= d << _U(8)
     np.right_shift(d, _U(56), out=b)
-    return n
-
-
-def _low(nbytes):
-    # words whose low min(max(nbytes, 0), 8) bytes are 0xff
-    mask = np.empty(len(nbytes), _U)
-    np.clip(nbytes, 0, 8, out=mask, casting="unsafe")
-    mask <<= _U(3)
-    np.left_shift(_ONES, mask, out=mask)
-    return np.invert(mask, out=mask)
 
 
 def _csv_cells(block):
@@ -450,26 +425,41 @@ def _csv_cells(block):
     x = block.ravel()
     d, i, ok = _decimal(x)
     cells = np.zeros((_CELL // 8, len(x)), dtype="<u8")
-    # the integer part to word 0, the digits after the point to the front
-    # of d; one word of temporaries at a time
-    word = _SPLIT[i]
-    np.floor_divide(d, word, out=cells[0])
-    word *= cells[0]
-    d -= word
-    del word
-    d *= _SHIFT[i]
-    n = _digits(d, cells[1:])
+    _digits(d, cells[1:])
     del d
+    # the digits move down s = _SLIDE bits, the integer ones a byte more,
+    # to end before the point; a word's top takes the next one's first s
+    # bits as (w << 8) << (56 - s), since a shift by 64 is undefined in C
+    s = _SLIDE[i]
+    back = _U(56) - s
+    top = np.empty_like(s)
     for j in range(3):
-        digits = _low(n - 8 * j)
-        digits &= _U(int.from_bytes(b"0" * 8, "little"))
-        cells[j + 1] |= digits
-    del digits
-    _eight_digits(cells[0])
+        np.left_shift(cells[j + 1], _U(8), out=top)
+        top <<= back
+        cells[j] |= top
+        cells[j + 1] >>= s
+    del s, back
     cells[0] >>= _U(8)
     cells[0] |= _INTEGER[i]
+    # each digit after the point up to the last non-zero one gets its "0":
+    # there the byte smear is non-zero, each byte the OR of those from it
+    # up, the top byte also that of the words after; adding 0x7f to a byte
+    # of at most 15 sets its high bit without a carry
+    smear = np.zeros_like(top)
+    for word in cells[:0:-1]:
+        smear <<= _U(56)
+        smear |= word
+        for k in (8, 16, 32):
+            np.right_shift(smear, _U(k), out=top)
+            smear |= top
+        np.add(smear, _U(0x7F7F7F7F7F7F7F7F), out=top)
+        top &= _U(0x8080808080808080)
+        top >>= _U(7)
+        top *= _U(ord("0"))
+        word |= top
+    del smear, top
     # the point of an integral value is dropped
-    cells[0] ^= (n == 0) * _U(ord(".") << 56)
+    cells[0] ^= (cells[1] == 0) * _U(ord(".") << 56)
     bad = np.flatnonzero(~ok)
     if len(bad):
         # _fmt of a float has at most 24 characters

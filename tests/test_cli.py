@@ -314,6 +314,10 @@ _TARGETED = st.one_of(
                                       2.2250738585072014e-308, 5e-324,
                                       sys.float_info.max]),
               st.integers(-3, 3)),
+    # whole numbers, which drop the point, and halves, with every count
+    # of integer digits the arithmetic covers
+    st.integers(1, 10 ** 7 - 1).map(float),
+    st.integers(1, 10 ** 7 - 1).map(lambda n: n + 0.5),
 )
 
 
