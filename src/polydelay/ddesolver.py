@@ -13,12 +13,13 @@ per stage in place of one per delay: the lookup forms Z[e, 0] = sum_j
 W[e, j] y_{sources[e]}(t - delays[j]) for all its stage times at once,
 adding in the order j = 0, 1, ... for every element, as a quadrature
 rule's weighted sum or an equivalent chain's delayed forcing.
-An attempt that no earlier lookup covers makes one: at the step cap
-(h_max or the smallest delay), unless it lands on a stop or halves the
-gap to one, it looks up a run of steps at that size, up to _RUN_STEPS
-and short of the next stop and the mesh end; otherwise it looks up its
-own three stage times. An in-order cumsum gives the run the loop's own
-start times, so its values equal those of single lookups bit for bit.
+The current lookup holds only its untaken steps; an attempt at the step
+cap (h_max or the smallest delay) reads the first of them. Any other
+attempt, or one that finds none left, makes a lookup: at the cap, unless
+it lands on a stop or halves the gap to one, a run of steps at that size,
+up to _RUN_STEPS and short of the next stop and the mesh end; otherwise
+its own three stage times. An in-order cumsum gives the run the loop's
+own start times, so its values equal those of single lookups bit for bit.
 Every attempt goes through one step body: it takes k >= 1 steps of its
 lookup back to back, computes their k error norms in one pass and
 commits the accepted steps with one set of slice writes. k exceeds 1
@@ -84,8 +85,8 @@ class DiscreteDelayDde:
     dimension : int
         State dimension d.
     delays : tuple of float
-        Strictly positive, finite lags, each more than 1e-12 above the
-        next smaller one; stored sorted ascending.
+        Strictly positive, finite lags in ascending order, each more than
+        1e-12 above the one before.
     rhs : callable
         rhs(t, y, Z) -> length-d derivative; Z has one column per delay,
         or one column in all with weights.
@@ -97,8 +98,7 @@ class DiscreteDelayDde:
         Finite (d, len(delays)) constants: solve() then hands rhs the
         weighted sum of the delayed states of each row's component (see
         sources), formed once per lookup for all its stage times. Column
-        j weighs delays[j]; the columns are reordered with the delays
-        when those are sorted.
+        j weighs delays[j].
     sources : array or None
         With weights only: d component indices in [0, d), where row e of
         W reads component sources[e]. Without them row e reads
@@ -115,13 +115,12 @@ class DiscreteDelayDde:
     def __post_init__(self):
         if self.dimension < 1:
             raise ValueError("dimension must be at least 1")
-        given = [float(tau) for tau in self.delays]
-        order = sorted(range(len(given)), key=given.__getitem__)
-        delays = tuple(given[j] for j in order)
+        delays = tuple(float(tau) for tau in self.delays)
         if not all(0.0 < tau < math.inf for tau in delays):
             raise ValueError("delays must be strictly positive and finite")
         if np.any(np.diff(delays) <= _BREAKPOINT_MERGE):
-            raise ValueError("delays must lie more than 1e-12 apart")
+            raise ValueError("delays must ascend, each more than 1e-12 "
+                             "above the one before")
         object.__setattr__(self, "delays", delays)
         if self.weights is not None:
             weights = np.array(self.weights, dtype=float)
@@ -130,7 +129,7 @@ class DiscreteDelayDde:
                                  % (self.dimension, len(delays)))
             if not np.all(np.isfinite(weights)):
                 raise ValueError("weights must be finite")
-            object.__setattr__(self, "weights", weights[:, order])
+            object.__setattr__(self, "weights", weights)
         if self.sources is not None:
             if self.weights is None:
                 raise ValueError("sources need weights")
@@ -234,7 +233,7 @@ def _fill_from_history(Z, q, history):
 def _breakpoints(delays, t_end):
     """The stops of the mesh: the delays inside (0, t_end).
 
-    delays are ascending, as DiscreteDelayDde stores them. When y' jumps
+    delays are ascending, as DiscreteDelayDde requires. When y' jumps
     at 0, as under a constant history, y'' jumps at each delay. A step
     across a y'' jump has an O(h^3) local error, worse than the 3(2)
     pair's O(h^4), so the mesh must land there. Sums of two or more
@@ -286,7 +285,6 @@ def solve(dde, t_end, opts=None):
     # with weights, a lookup collapses its delays into one column
     WT = None if dde.weights is None else dde.weights.T.copy()
     sources = dde.sources
-    cols = delays.size if WT is None else 1
 
     mesh = np.empty(_INITIAL_CAPACITY)
     states = np.empty((_INITIAL_CAPACITY, d))
@@ -296,8 +294,8 @@ def solve(dde, t_end, opts=None):
     n = 1
 
     def delayed(times):
-        """Delayed states for the ascending stage times, shape
-        (len(times), d, cols); the Z of stage s is [s]."""
+        """The Z of each ascending stage time, stacked: shape
+        (len(times), d, len(delays)), or one column with weights."""
         q = np.subtract.outer(times, delays)
         q_min = times[0] - tau_max
         q_max = times[-1] - tau_min
@@ -334,7 +332,7 @@ def solve(dde, t_end, opts=None):
         size, up to _RUN_STEPS in all, while they stay short of next_stop
         by more than 2h and their queries stay below t: the list of their
         start times followed by the last end time, and their delayed
-        states, shape (steps, 3, d, cols)."""
+        states, shape (steps, 3) + the shape of one Z."""
         # cumsum adds in order, so starts[k] is the float the step loop
         # reaches after k additions t + h
         ends = np.full(_RUN_STEPS + 1, h)
@@ -348,7 +346,7 @@ def solve(dde, t_end, opts=None):
         times = np.column_stack((starts[:k] + _C2 * h, starts[:k] + _C3 * h,
                                  ends[1:k + 1]))
         return (ends[:k + 1].tolist(),
-                delayed(times.ravel()).reshape(k, 3, d, cols))
+                delayed(times.ravel()).reshape(k, 3, d, -1))
 
     def checked_rhs(t, y):
         out = np.asarray(rhs(t, y, delayed((t,))[0]), dtype=float)
@@ -385,9 +383,9 @@ def solve(dde, t_end, opts=None):
               else max(1e-6, h0 * 1e-3))
         h = min(100.0 * h0, h1)
     atol, rtol = opts.atol, opts.rtol
-    # the current lookup: its steps' start times and last end time, their
-    # delayed states, and the index of its next step
-    run_t, run_Z, r = [], (), 0
+    # the untaken steps of the current lookup: their start times and last
+    # end time, and their delayed states
+    run_t, run_Z = [], ()
     # accepted attempts in a row at the cap; an attempt below it, a
     # rejection and a cut run start the count afresh
     held = 0
@@ -423,8 +421,7 @@ def solve(dde, t_end, opts=None):
 
         # an attempt below the cap ends the run: it follows a rejection or
         # a shrinking step
-        if not (r < len(run_Z) and h == h_cap):
-            r = 0
+        if not (len(run_Z) and h == h_cap):
             if h == h_cap and not on_stop:
                 run_t, run_Z = run(t, h, next_stop)
             else:
@@ -435,18 +432,18 @@ def solve(dde, t_end, opts=None):
         # cap has held. No step after the first underflows: that needs
         # t >= h_cap / (1e3 eps), over 4e12 steps of the budget checked
         # above.
-        k = min(held, len(run_Z) - r, opts.max_steps - (n - 1) - rejected) or 1
+        k = min(held, len(run_Z), opts.max_steps - (n - 1) - rejected) or 1
         if n + k > mesh.size:
             mesh, states, derivs = map(_doubled, (mesh, states, derivs))
         for j in range(k):
             Kj = K[j]
-            tj = run_t[r + j]
-            Z = run_Z[r + j]
+            tj = run_t[j]
+            Z = run_Z[j]
             Kj[1] = rhs(tj + _C2 * h, y + (_C2 * h) * Kj[0], Z[0])
             Kj[2] = rhs(tj + _C3 * h, y + (_C3 * h) * Kj[1], Z[1])
             states[n + j] = y + h * _B.dot(Kj[:3])
             y = states[n + j]
-            Kj[3] = K[j + 1, 0] = rhs(run_t[r + j + 1], y, Z[2])
+            Kj[3] = K[j + 1, 0] = rhs(run_t[j + 1], y, Z[2])
             # a non-finite derivative ends the steps at once; so do finite
             # entries whose sum overflows, which only shortens the attempt
             if j + 1 < k and not math.isfinite(sum(Kj[3].tolist())):
@@ -474,15 +471,15 @@ def solve(dde, t_end, opts=None):
         if kk < k and not np.isfinite(K[kk]).all():
             raise SolverError(
                 "non-finite right-hand side in the step from t = %g"
-                % run_t[r + kk])
+                % run_t[kk])
         held = held + kk if kk == k and h == h_cap else 0
         h *= grow
         if kk:
-            mesh[n:n + kk] = run_t[r + 1:r + kk + 1]
+            mesh[n:n + kk] = run_t[1:kk + 1]
             derivs[n:n + kk] = K[:kk, 3]
             n += kk
-            r += kk
-            t = run_t[r]
+            t = run_t[kk]
+            run_t, run_Z = run_t[kk:], run_Z[kk:]
             K[0, 0] = K[kk, 0]
             if on_stop:
                 stop_idx += 1

@@ -228,10 +228,12 @@ def test_dde_validation():
         pdl.DiscreteDelayDde(dimension=1, delays=(1.0, 1.0), rhs=rhs,
                              history=hist)
     # every delay is a mesh stop of its own, so delays closer than the
-    # stops' 1e-12 resolution are rejected, not merged
-    with pytest.raises(ValueError, match="more than 1e-12 apart"):
-        pdl.DiscreteDelayDde(dimension=1, delays=(0.5 + 1e-13, 0.5),
-                             rhs=rhs, history=hist)
+    # stops' 1e-12 resolution are rejected, not merged; delays out of
+    # order are rejected, not sorted
+    for delays in ((0.5 + 1e-13, 0.5), (0.5, 0.5 + 1e-13), (1.0, 0.5)):
+        with pytest.raises(ValueError, match="must ascend"):
+            pdl.DiscreteDelayDde(dimension=1, delays=delays, rhs=rhs,
+                                 history=hist)
     assert pdl.DiscreteDelayDde(dimension=1, delays=(0.5, 0.5 + 1e-11),
                                 rhs=rhs, history=hist).delays \
         == (0.5, 0.5 + 1e-11)
@@ -255,13 +257,17 @@ def test_dde_weights_validation():
                                  weights=[[1.0, bad], [0.0, 0.0]])
     assert pdl.DiscreteDelayDde(dimension=2, delays=(0.5, 1.0), rhs=rhs,
                                 history=hist).weights is None
-    # the columns follow the delays into ascending order
-    dde = pdl.DiscreteDelayDde(dimension=2, delays=(1.0, 0.25, 0.5), rhs=rhs,
+    with pytest.raises(ValueError, match="must ascend"):
+        pdl.DiscreteDelayDde(dimension=2, delays=(1.0, 0.25, 0.5), rhs=rhs,
+                             history=hist,
+                             weights=[[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+    # column j of W stays with delays[j], as given
+    dde = pdl.DiscreteDelayDde(dimension=2, delays=(0.25, 0.5, 1.0), rhs=rhs,
                                history=hist,
-                               weights=[[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+                               weights=[[2.0, 3.0, 1.0], [5.0, 6.0, 4.0]])
     assert dde.delays == (0.25, 0.5, 1.0)
     assert np.array_equal(dde.weights, [[2.0, 3.0, 1.0], [5.0, 6.0, 4.0]])
-    # replace keeps them, in the stored order
+    # replace keeps them
     again = dataclasses.replace(dde, rhs=lambda t, y, Z: Z[:, 0])
     assert again.delays == dde.delays
     assert np.array_equal(again.weights, dde.weights)
@@ -277,10 +283,10 @@ def test_dde_weights_validation():
     with pytest.raises(ValueError, match="sources need weights"):
         pdl.DiscreteDelayDde(dimension=2, delays=(0.5, 1.0), rhs=rhs,
                              history=hist, sources=(0, 0))
-    # the delay sort moves the columns of W, not the rows' sources
-    dde = pdl.DiscreteDelayDde(dimension=2, delays=(1.0, 0.25, 0.5), rhs=rhs,
+    # W and the rows' sources are kept as given
+    dde = pdl.DiscreteDelayDde(dimension=2, delays=(0.25, 0.5, 1.0), rhs=rhs,
                                history=hist,
-                               weights=[[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]],
+                               weights=[[2.0, 3.0, 1.0], [5.0, 6.0, 4.0]],
                                sources=np.array([1, 0], dtype=np.int32))
     assert np.array_equal(dde.sources, [1, 0])
     assert np.array_equal(dde.weights, [[2.0, 3.0, 1.0], [5.0, 6.0, 4.0]])
@@ -291,10 +297,9 @@ def test_dde_weights_validation():
 
 def _weighted_pair(sources=None):
     """One DDE twice: with weights (and sources), and with an rhs that
-    forms the weighted sums itself from the full Z. The delays and the
-    columns of W are given out of order."""
-    delays = (1.0, 0.3, 0.7)
-    W = np.array([[0.2, 0.5, 0.3], [-0.4, 0.1, 0.0]])
+    forms the weighted sums itself from the full Z."""
+    delays = (0.3, 0.7, 1.0)
+    W = np.array([[0.5, 0.3, 0.2], [0.1, 0.0, -0.4]])
     rows = [0, 1] if sources is None else list(sources)
 
     def f(t, y, z):
@@ -305,8 +310,7 @@ def _weighted_pair(sources=None):
 
     full = pdl.DiscreteDelayDde(
         dimension=2, delays=delays, history=hist,
-        rhs=lambda t, y, Z: f(t, y,
-                              (W[:, np.argsort(delays)] * Z[rows]).sum(1)))
+        rhs=lambda t, y, Z: f(t, y, (W * Z[rows]).sum(1)))
     weighted = pdl.DiscreteDelayDde(
         dimension=2, delays=delays, history=hist, weights=W, sources=sources,
         rhs=lambda t, y, Z: f(t, y, Z[:, 0]))
@@ -321,7 +325,7 @@ def test_weighted_lookups_match_an_rhs_that_sums(monkeypatch):
         opts = pdl.SolverOptions(h_max=0.01)
         got = _solve_with_and_without_blocks(monkeypatch, weighted, 4.0,
                                              opts)
-        # the next pass solves with runs again
+        # the reference and the next pass use the uncounted _hermite
         monkeypatch.undo()
         want = pdl.solve(full, 4.0, opts)
         # the cap sets every step on both, so the meshes agree; the sums
@@ -660,10 +664,8 @@ def _solve_with_and_without_blocks(monkeypatch, dde, t_end, opts):
     with_runs = pdl.solve(recorded, t_end, opts)
     run_calls = calls[0]
     run_stages, stages = stages, []
-    # every lookup then covers only the attempt that makes it
-    monkeypatch.setattr(ddesolver, "_RUN_STEPS", 1)
     calls[0] = 0
-    per_step = pdl.solve(recorded, t_end, opts)
+    per_step = _per_step(recorded, t_end, opts)
     assert run_calls < calls[0]
     for name in ("mesh", "states", "derivs"):
         assert np.array_equal(getattr(with_runs, name),
@@ -732,14 +734,12 @@ def test_runs_equal_per_step_lookups(delays, h_max, switch, rtol):
     def rhs(t, y, Z):
         return -Z.mean(axis=1) + (50.0 if t > switch else 0.0)
 
-    dde = pdl.DiscreteDelayDde(dimension=1, delays=tuple(delays), rhs=rhs,
+    dde = pdl.DiscreteDelayDde(dimension=1, delays=tuple(sorted(delays)),
+                               rhs=rhs,
                                history=lambda t: np.array([1.0 + t]))
     opts = pdl.SolverOptions(rtol=rtol, h_max=h_max)
     with_runs = pdl.solve(dde, 3.0, opts)
-    # function-scoped fixtures such as monkeypatch do not reset between
-    # hypothesis examples, so patch here
-    with mock.patch.object(ddesolver, "_RUN_STEPS", 1):
-        per_step = pdl.solve(dde, 3.0, opts)
+    per_step = _per_step(dde, 3.0, opts)
     for name in ("mesh", "states", "derivs", "steps_taken",
                  "steps_rejected"):
         assert np.array_equal(getattr(with_runs, name),
@@ -748,7 +748,8 @@ def test_runs_equal_per_step_lookups(delays, h_max, switch, rtol):
 
 def _per_step(dde, t_end, opts):
     """solve() with every attempt on its own: no run lookups, no batched
-    steps."""
+    steps. It patches _RUN_STEPS itself because function-scoped fixtures
+    such as monkeypatch do not reset between hypothesis examples."""
     with mock.patch.object(ddesolver, "_RUN_STEPS", 1):
         return pdl.solve(dde, t_end, opts)
 
@@ -776,7 +777,7 @@ def test_batched_runs_equal_per_step_solve(delays, h_max, rtol, amp, w):
     # runs are cut at random places and their first failing step is
     # retried alone
     dde, calls = _counted(pdl.DiscreteDelayDde(
-        dimension=1, delays=tuple(delays),
+        dimension=1, delays=tuple(sorted(delays)),
         rhs=lambda t, y, Z: -Z.mean(axis=1) + amp * math.sin(w * t) * y,
         history=lambda t: np.array([1.0 + t])))
     opts = pdl.SolverOptions(rtol=rtol, h_max=h_max)
@@ -799,7 +800,7 @@ def test_batched_runs_discard_steps_and_keep_the_trajectory():
     # long as the lookup allows, without the held bound, would make about
     # 3.2 times the calls here.
     dde, calls = _counted(pdl.DiscreteDelayDde(
-        dimension=1, delays=(0.92, 0.41),
+        dimension=1, delays=(0.41, 0.92),
         rhs=lambda t, y, Z: -Z.mean(axis=1) + 0.74 * math.sin(23.5 * t) * y,
         history=lambda t: np.array([1.0 + t])))
     opts = pdl.SolverOptions(rtol=1e-5, h_max=0.01)
