@@ -20,8 +20,10 @@ the other cells: 4 of a preset run, 281 of the dense-output run's 900,000.
 
 import argparse
 import os
+import pickle
+import signal
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -223,13 +225,93 @@ def run_solve(config):
                           "steps_rejected": traj.steps_rejected}
 
 
+def _cpus():
+    # the CPUs this process may run on; 1 where it cannot fork or ask
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _samples(ddes, t_end, opts, samples):
+    # the S, I, R of each dde's solve, in order, on the samples-point grid
+    # of its own trajectory, which is the reference's, as every solve ends
+    # exactly on t_end; the first exception ends the list
+    out = []
+    try:
+        for dde in ddes:
+            traj = solve(dde, t_end, opts)
+            out.append(dense_eval(traj, np.concatenate(
+                list(sample_times(traj, samples))))[:, :3])
+    except Exception as exc:
+        out.append(exc)
+    return out
+
+
+def _fork_samples(children, group, ddes, t_end, opts, samples):
+    # fork a child that sends _samples of the ddes, pickled, through a
+    # pipe, and list it in children as (group, pid, read end); SIGINT
+    # waits until it is listed, so a KeyboardInterrupt cannot orphan it
+    r, w = os.pipe()
+    fh = open(r, "rb")
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+    try:
+        pid = os.fork()
+        if pid == 0:
+            # the child never returns into the caller's stack
+            try:
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+                fh.close()
+                with open(w, "wb") as out:
+                    pickle.dump(_samples(ddes, t_end, opts, samples), out,
+                                pickle.HIGHEST_PROTOCOL)
+            finally:
+                os._exit(0)
+        children.append((group, pid, fh))
+    except OSError:
+        fh.close()
+        raise
+    finally:
+        os.close(w)
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+
+
+def _received(fh):
+    # the list a child sent, read to the end of its pipe; a child that
+    # ended without sending it fails at the first count of its group
+    try:
+        return pickle.loads(fh.read())
+    except Exception:
+        return [RuntimeError("a convergence worker process ended without "
+                             "sending its results")]
+
+
+def _reap(children):
+    # kill every child still running, then wait for each
+    for _, pid, fh in children:
+        fh.close()
+        with suppress(ProcessLookupError):
+            os.kill(pid, signal.SIGKILL)
+    for _, pid, _ in children:
+        # absent where SIGCHLD is ignored, which reaps them already
+        with suppress(ChildProcessError):
+            os.waitpid(pid, 0)
+
+
 def run_convergence(config, m_list):
     """Compare quadrature solves for each m against one reference solve.
 
     The reference is the equivalent system integrated with the config's
     tolerances and h_max. Returns (diffs, reference_steps): diffs is a
     (len(m_list), 3) array of the maximum absolute S, I, R differences on
-    a samples-point equidistant grid."""
+    a samples-point equidistant grid.
+
+    The solves are independent and are spread, with no setting, over the
+    CPUs this process may run on: it solves the reference and the first
+    quadrature DDEs itself, and forked child processes solve the rest, so
+    that the processes' loads differ by at most one solve. The diffs, and
+    the error raised (the reference's, else that of the lowest failing
+    m), are those of one process solving them all. No child outlives the
+    call."""
     if not m_list:
         raise ConfigError("need at least one node count")
     _, base = _problem(config)
@@ -240,15 +322,42 @@ def run_convergence(config, m_list):
     quads = [_route(config, base, m) for m in m_list[::-1]][::-1]
     if list(m_list) != sorted(set(int(m) for m in m_list)):
         raise ConfigError("node counts must be ascending and distinct")
-    ref = solve(_route(config, base), t_end, opts)
-    ts, ref_vals = sample(ref, config.samples)
-
-    def one_m(dde):
-        # every solve ends exactly on t_end, so it shares the reference grid
-        vals = dense_eval(solve(dde, t_end, opts), ts)
-        return np.max(np.abs(vals[:, :3] - ref_vals[:, :3]), axis=0)
-
-    return np.array([one_m(dde) for dde in quads]), ref.steps_taken
+    ref_dde = _route(config, base)
+    # P processes share the n + 1 solves: this one takes (n + 1) // P of
+    # them, the reference, about two quadrature solves' work, and
+    # quads[:own]; P - 1 children deal the rest round robin, so that a
+    # child takes at most one solve more than this process
+    n = len(quads)
+    procs = min(_cpus(), n + 1)
+    own = (n + 1) // procs - 1
+    local, children = [range(own)], []
+    try:
+        for j in range(procs - 1):
+            group = range(own + j, n, procs - 1)
+            try:
+                _fork_samples(children, group, [quads[i] for i in group],
+                              t_end, opts, config.samples)
+            except OSError:
+                # no process to spare: this one solves the group itself
+                local.append(group)
+        ref = solve(ref_dde, t_end, opts)
+        ref_vals = sample(ref, config.samples)[1][:, :3]
+        results = [(group, _samples([quads[i] for i in group], t_end, opts,
+                                    config.samples)) for group in local]
+        results += [(group, _received(fh)) for group, _, fh in children]
+    finally:
+        _reap(children)
+    diffs = [None] * n
+    for group, values in results:
+        for i, vals in zip(group, values):
+            diffs[i] = vals if isinstance(vals, Exception) else np.max(
+                np.abs(vals - ref_vals), axis=0)
+    # a group's counts ascend and its list stops at its first exception,
+    # so in m order the lowest failing m comes before any count unsolved
+    for d in diffs:
+        if isinstance(d, Exception):
+            raise d
+    return np.array(diffs), ref.steps_taken
 
 
 def run_quad_table(config):

@@ -8,6 +8,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -569,7 +570,10 @@ def test_convergence_is_deterministic(tmp_path, capsys):
 
 def test_convergence_samples_the_reference_once(monkeypatch):
     # one grid: the reference is sampled, and every quadrature solve is
-    # evaluated on the reference's times
+    # evaluated on the reference's times. The counters live in this
+    # process, so it solves them all; the byte-identity test below covers
+    # the grid of a forked child
+    monkeypatch.setattr(cli, "_cpus", lambda: 1)
     sampled, evaluated = [], []
 
     def count_sample(traj, k):
@@ -589,6 +593,142 @@ def test_convergence_samples_the_reference_once(monkeypatch):
     want = np.linspace(0.0, 30.0 / config.b, 30)
     assert all(t.tobytes() == want.tobytes() for t in evaluated)
     assert diffs.shape == (3, 3)
+
+
+def _no_child_left():
+    # every child of this process has been reaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("m_list", ["8", "1,2,4,8,12,16"])
+def test_convergence_output_does_not_depend_on_processes(
+        m_list, tmp_path, capsys, monkeypatch):
+    # one process, two and three sharing the solves, and more CPUs than
+    # solves, which leaves one solve to each process
+    runs = set()
+    for procs in (1, 2, 3, 20):
+        monkeypatch.setattr(cli, "_cpus", lambda: procs)
+        target = tmp_path / ("%d.csv" % procs)
+        code, _, err = _run(["convergence", "--preset", "case-i", "--m",
+                             m_list, "--out", str(target)], capsys)
+        _no_child_left()
+        runs.add((code, target.read_bytes(), err))
+    assert len(runs) == 1
+    code, _, err = runs.pop()
+    assert code == cli.EXIT_OK
+    assert err == "reference solve: 6668 steps, grid 1000 points\n"
+
+
+_SHORT_CONVERGENCE = ["convergence", "--preset", "case-i", "--t-end", "30",
+                      "--samples", "30", "--m", "8"]
+
+
+@pytest.mark.parametrize("failing", [{6}, set(range(2, 9))])
+def test_convergence_failure_in_a_child_is_the_serial_one(
+        failing, tmp_path, capsys, monkeypatch):
+    # a quadrature DDE has one delay for each node; the lowest failing m
+    # is reported, whichever process solved it
+    real_solve, parent = cli.solve, os.getpid()
+    solved_in = tmp_path / "pids"
+
+    def failing_solve(dde, t_end, opts):
+        if len(dde.delays) in failing and dde.dimension == 3:
+            with open(solved_in, "a") as fh:
+                fh.write("%d\n" % os.getpid())
+            raise ddesolver.SolverError("m = %d fails" % len(dde.delays))
+        return real_solve(dde, t_end, opts)
+
+    monkeypatch.setattr(cli, "solve", failing_solve)
+    errors = []
+    for procs in (1, 2, 3):
+        monkeypatch.setattr(cli, "_cpus", lambda: procs)
+        code, out, err = _run(_SHORT_CONVERGENCE, capsys)
+        _no_child_left()
+        assert code == cli.EXIT_SOLVER
+        assert out == ""
+        errors.append(err)
+    assert errors[0].startswith("solver failure: m = %d fails"
+                                % min(failing))
+    assert errors[1] == errors[0] and errors[2] == errors[0]
+    # with two and three processes, m = 6 is solved in a child, so some
+    # of the failures were raised there
+    assert {int(pid) for pid in solved_in.read_text().split()} != {parent}
+
+
+def _in_children(monkeypatch, act):
+    # forked children call act before each solve
+    real_solve, parent = cli.solve, os.getpid()
+
+    def solve(dde, t_end, opts):
+        if os.getpid() != parent:
+            act()
+        return real_solve(dde, t_end, opts)
+
+    monkeypatch.setattr(cli, "solve", solve)
+
+
+def test_convergence_reference_failure_wins_and_kills_children(
+        capsys, monkeypatch):
+    # the reference fails on its step budget while a child sleeps; the
+    # child is killed, not waited for
+    _in_children(monkeypatch, lambda: time.sleep(60))
+    monkeypatch.setattr(cli, "MAX_STEPS", 10)
+    errors = []
+    for procs in (1, 2):
+        monkeypatch.setattr(cli, "_cpus", lambda: procs)
+        start = time.monotonic()
+        code, out, err = _run(_SHORT_CONVERGENCE, capsys)
+        assert time.monotonic() - start < 30
+        _no_child_left()
+        assert code == cli.EXIT_SOLVER
+        assert out == ""
+        errors.append(err)
+    assert "step budget" in errors[0]
+    assert errors[1] == errors[0]
+
+
+def test_convergence_child_that_sends_nothing_is_an_error(
+        capsys, monkeypatch):
+    _in_children(monkeypatch, lambda: os._exit(1))
+    monkeypatch.setattr(cli, "_cpus", lambda: 2)
+    code, out, err = _run(_SHORT_CONVERGENCE, capsys)
+    _no_child_left()
+    assert code == cli.EXIT_NUMERICAL
+    assert out == ""
+    assert err == ("internal numerical error: a convergence worker process "
+                   "ended without sending its results\n")
+
+
+def test_convergence_solves_here_what_it_cannot_fork(capsys, monkeypatch):
+    runs = []
+    for procs in (1, 3):
+        monkeypatch.setattr(cli, "_cpus", lambda: procs)
+        runs.append(_run(_SHORT_CONVERGENCE, capsys))
+
+    def no_fork():
+        raise BlockingIOError("Resource temporarily unavailable")
+
+    monkeypatch.setattr(cli.os, "fork", no_fork)
+    runs.append(_run(_SHORT_CONVERGENCE, capsys))
+    _no_child_left()
+    assert runs[0][0] == cli.EXIT_OK
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
+def test_convergence_interrupt_kills_children(monkeypatch):
+    def interrupt(traj, k):
+        raise KeyboardInterrupt
+
+    _in_children(monkeypatch, lambda: time.sleep(60))
+    monkeypatch.setattr(cli, "sample", interrupt)
+    monkeypatch.setattr(cli, "_cpus", lambda: 3)
+    config = cli.assemble_config(preset="case-i", t_end=30.0, samples=30)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        cli.run_convergence(config, [1, 2, 3])
+    assert time.monotonic() - start < 30
+    _no_child_left()
 
 
 def test_convergence_range_over_the_bound_fails_before_listing_it(capsys):
