@@ -19,6 +19,7 @@ the other cells: 4 of a preset run, 281 of the dense-output run's 900,000.
 """
 
 import argparse
+import functools
 import os
 import pickle
 import signal
@@ -232,27 +233,35 @@ def _cpus():
     return len(os.sched_getaffinity(0))
 
 
-def _samples(ddes, t_end, opts, samples):
-    # the S, I, R of each dde's solve, in order, on the samples-point grid
-    # of its own trajectory, which is the reference's, as every solve ends
-    # exactly on t_end; the first exception ends the list
+def _diff(traj, ts, ref_sir):
+    # the maximum absolute S, I, R differences from the reference on its
+    # grid ts, which every solve shares, as each ends exactly on t_end
+    return np.max(np.abs(dense_eval(traj, ts)[:, :3] - ref_sir), axis=0)
+
+
+def _diffs(ddes, t_end, opts, reference):
+    # _diff of each dde's solve, the reference being (ts, S I R) from
+    # reference(), which is first called once a solve is done; a
+    # trajectory is freed before the next solve, and the first exception
+    # ends the list
     out = []
     try:
         for dde in ddes:
-            traj = solve(dde, t_end, opts)
-            out.append(dense_eval(traj, np.concatenate(
-                list(sample_times(traj, samples))))[:, :3])
+            out.append(_diff(solve(dde, t_end, opts), *reference()))
     except Exception as exc:
         out.append(exc)
     return out
 
 
-def _fork_samples(children, group, ddes, t_end, opts, samples):
-    # fork a child that sends _samples of the ddes, pickled, through a
-    # pipe, and list it in children as (group, pid, read end); SIGINT
-    # waits until it is listed, so a KeyboardInterrupt cannot orphan it
-    r, w = os.pipe()
-    fh = open(r, "rb")
+def _fork_diffs(children, group, ddes, t_end, opts):
+    # fork a child that reads the reference from one pipe and sends the
+    # _diffs of the ddes, pickled, through another, and list it in
+    # children as (group, pid, its reference pipe, its result pipe);
+    # SIGINT waits until it is listed, so a KeyboardInterrupt cannot
+    # orphan it
+    ref_r, ref_w = os.pipe()
+    out_r, out_w = os.pipe()
+    to_child, from_child = open(ref_w, "wb"), open(out_r, "rb")
     mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
     try:
         pid = os.fork()
@@ -260,38 +269,45 @@ def _fork_samples(children, group, ddes, t_end, opts, samples):
             # the child never returns into the caller's stack
             try:
                 signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-                fh.close()
-                with open(w, "wb") as out:
-                    pickle.dump(_samples(ddes, t_end, opts, samples), out,
+                to_child.close()
+                from_child.close()
+                with open(ref_r, "rb") as ref, open(out_w, "wb") as out:
+                    reference = functools.cache(lambda: pickle.load(ref))
+                    pickle.dump(_diffs(ddes, t_end, opts, reference), out,
                                 pickle.HIGHEST_PROTOCOL)
             finally:
                 os._exit(0)
-        children.append((group, pid, fh))
+        children.append((group, pid, to_child, from_child))
     except OSError:
-        fh.close()
+        to_child.close()
+        from_child.close()
         raise
     finally:
-        os.close(w)
+        os.close(ref_r)
+        os.close(out_w)
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
 
 
 def _received(fh):
-    # the list a child sent, read to the end of its pipe; a child that
-    # ended without sending it fails at the first count of its group
+    # the list a child sent; a child that ended without sending it fails
+    # at the first count of its group
     try:
-        return pickle.loads(fh.read())
+        return pickle.load(fh)
     except Exception:
         return [RuntimeError("a convergence worker process ended without "
                              "sending its results")]
 
 
 def _reap(children):
-    # kill every child still running, then wait for each
-    for _, pid, fh in children:
-        fh.close()
+    # kill every child still running, then close its pipes and wait for
+    # it; a reference left unsent fails to flush once the child is gone
+    for _, pid, _, _ in children:
         with suppress(ProcessLookupError):
             os.kill(pid, signal.SIGKILL)
-    for _, pid, _ in children:
+    for _, pid, to_child, from_child in children:
+        with suppress(BrokenPipeError):
+            to_child.close()
+        from_child.close()
         # absent where SIGCHLD is ignored, which reaps them already
         with suppress(ChildProcessError):
             os.waitpid(pid, 0)
@@ -306,12 +322,13 @@ def run_convergence(config, m_list):
     a samples-point equidistant grid.
 
     The solves are independent and are spread, with no setting, over the
-    CPUs this process may run on: it solves the reference and the first
-    quadrature DDEs itself, and forked child processes solve the rest, so
-    that the processes' loads differ by at most one solve. The diffs, and
-    the error raised (the reference's, else that of the lowest failing
-    m), are those of one process solving them all. No child outlives the
-    call."""
+    CPUs this process may run on: the quadrature DDEs are dealt round
+    robin to this process and to forked child processes, and this
+    process also solves and samples the reference, which it then sends
+    to the children. Each process reduces each solve to its three
+    differences at once. The diffs, and the error raised (the
+    reference's, else that of the lowest failing m), are those of one
+    process solving them all. No child outlives the call."""
     if not m_list:
         raise ConfigError("need at least one node count")
     _, base = _problem(config)
@@ -322,36 +339,39 @@ def run_convergence(config, m_list):
     quads = [_route(config, base, m) for m in m_list[::-1]][::-1]
     if list(m_list) != sorted(set(int(m) for m in m_list)):
         raise ConfigError("node counts must be ascending and distinct")
-    ref_dde = _route(config, base)
-    # P processes share the n + 1 solves: this one takes (n + 1) // P of
-    # them, the reference, about two quadrature solves' work, and
-    # quads[:own]; P - 1 children deal the rest round robin, so that a
-    # child takes at most one solve more than this process
+    # P processes deal the n quadrature solves round robin, this one
+    # taking group 0 and the reference as well: a solve's cost rises only
+    # slowly with m, so the children finish about a reference solve
+    # before this process, and the run ends on one CPU
     n = len(quads)
-    procs = min(_cpus(), n + 1)
-    own = (n + 1) // procs - 1
-    local, children = [range(own)], []
+    procs = min(_cpus(), n)
+    local, children = [range(0, n, procs)], []
     try:
-        for j in range(procs - 1):
-            group = range(own + j, n, procs - 1)
+        for j in range(1, procs):
+            group = range(j, n, procs)
             try:
-                _fork_samples(children, group, [quads[i] for i in group],
-                              t_end, opts, config.samples)
+                _fork_diffs(children, group, [quads[i] for i in group],
+                            t_end, opts)
             except OSError:
                 # no process to spare: this one solves the group itself
                 local.append(group)
-        ref = solve(ref_dde, t_end, opts)
-        ref_vals = sample(ref, config.samples)[1][:, :3]
-        results = [(group, _samples([quads[i] for i in group], t_end, opts,
-                                    config.samples)) for group in local]
-        results += [(group, _received(fh)) for group, _, fh in children]
+        ref = solve(_route(config, base), t_end, opts)
+        ts, ref_vals = sample(ref, config.samples)
+        reference = (ts, ref_vals[:, :3])
+        for _, _, to_child, _ in children:
+            # a child whose first solve failed reads no reference
+            with suppress(BrokenPipeError):
+                pickle.dump(reference, to_child, pickle.HIGHEST_PROTOCOL)
+                to_child.close()
+        results = [(group, _diffs([quads[i] for i in group], t_end, opts,
+                                  lambda: reference)) for group in local]
+        results += [(group, _received(fh)) for group, _, _, fh in children]
     finally:
         _reap(children)
     diffs = [None] * n
     for group, values in results:
-        for i, vals in zip(group, values):
-            diffs[i] = vals if isinstance(vals, Exception) else np.max(
-                np.abs(vals - ref_vals), axis=0)
+        for i, d in zip(group, values):
+            diffs[i] = d
     # a group's counts ascend and its list stops at its first exception,
     # so in m order the lowest failing m comes before any count unsolved
     for d in diffs:

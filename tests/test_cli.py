@@ -6,6 +6,7 @@ import io
 import math
 import os
 import random
+import signal
 import subprocess
 import sys
 import time
@@ -571,8 +572,8 @@ def test_convergence_is_deterministic(tmp_path, capsys):
 def test_convergence_samples_the_reference_once(monkeypatch):
     # one grid: the reference is sampled, and every quadrature solve is
     # evaluated on the reference's times. The counters live in this
-    # process, so it solves them all; the byte-identity test below covers
-    # the grid of a forked child
+    # process, so it solves them all; forked children are sent the same
+    # times, which the byte-identity test below covers
     monkeypatch.setattr(cli, "_cpus", lambda: 1)
     sampled, evaluated = [], []
 
@@ -624,11 +625,14 @@ _SHORT_CONVERGENCE = ["convergence", "--preset", "case-i", "--t-end", "30",
                       "--samples", "30", "--m", "8"]
 
 
+@pytest.mark.parametrize("samples", ["30", "20000"])
 @pytest.mark.parametrize("failing", [{6}, set(range(2, 9))])
 def test_convergence_failure_in_a_child_is_the_serial_one(
-        failing, tmp_path, capsys, monkeypatch):
+        failing, samples, tmp_path, capsys, monkeypatch):
     # a quadrature DDE has one delay for each node; the lowest failing m
-    # is reported, whichever process solved it
+    # is reported, whichever process solved it. A child whose first solve
+    # fails reads no reference, and 20000 samples of it fill more than a
+    # pipe's buffer
     real_solve, parent = cli.solve, os.getpid()
     solved_in = tmp_path / "pids"
 
@@ -643,7 +647,8 @@ def test_convergence_failure_in_a_child_is_the_serial_one(
     errors = []
     for procs in (1, 2, 3):
         monkeypatch.setattr(cli, "_cpus", lambda: procs)
-        code, out, err = _run(_SHORT_CONVERGENCE, capsys)
+        code, out, err = _run(_SHORT_CONVERGENCE[:-3] + [samples, "--m", "8"],
+                              capsys)
         _no_child_left()
         assert code == cli.EXIT_SOLVER
         assert out == ""
@@ -688,6 +693,28 @@ def test_convergence_reference_failure_wins_and_kills_children(
     assert errors[1] == errors[0]
 
 
+def test_convergence_children_send_only_the_differences(monkeypatch):
+    # a child reduces each solve to its three differences, so what it
+    # sends does not grow with the samples
+    received = []
+
+    def record(fh):
+        received.append(real_received(fh))
+        return received[-1]
+
+    real_received = cli._received
+    monkeypatch.setattr(cli, "_received", record)
+    monkeypatch.setattr(cli, "_cpus", lambda: 3)
+    config = cli.assemble_config(preset="case-i", t_end=30.0, samples=3000)
+    diffs, _ = cli.run_convergence(config, [1, 2, 3, 4, 5])
+    _no_child_left()
+    assert [len(sent) for sent in received] == [2, 1]
+    assert all(d.shape == (3,) for sent in received for d in sent)
+    # round robin: this process solves m = 1, 4, the children 2, 5 and 3
+    assert np.array(received[0]).tobytes() == diffs[[1, 4]].tobytes()
+    assert received[1][0].tobytes() == diffs[2].tobytes()
+
+
 def test_convergence_child_that_sends_nothing_is_an_error(
         capsys, monkeypatch):
     _in_children(monkeypatch, lambda: os._exit(1))
@@ -727,6 +754,28 @@ def test_convergence_interrupt_kills_children(monkeypatch):
     start = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
         cli.run_convergence(config, [1, 2, 3])
+    assert time.monotonic() - start < 30
+    _no_child_left()
+
+
+def test_convergence_interrupt_while_sending_the_reference(monkeypatch):
+    # the children sleep before they read the reference, so sending
+    # 20000 samples of it waits on a full pipe until the interrupt
+    def interrupt(signum, frame):
+        raise KeyboardInterrupt
+
+    _in_children(monkeypatch, lambda: time.sleep(60))
+    monkeypatch.setattr(cli, "_cpus", lambda: 2)
+    config = cli.assemble_config(preset="case-i", t_end=30.0, samples=20000)
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    start = time.monotonic()
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 2.0)
+        with pytest.raises(KeyboardInterrupt):
+            cli.run_convergence(config, [1, 2])
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
     assert time.monotonic() - start < 30
     _no_child_left()
 
