@@ -37,7 +37,7 @@ class DistributedDelayDde:
     rhs receives z, a length-d vector holding the weighted integral of
     each delayed component over the delay interval (zero in the other
     components). history(t) supplies the state for t <= 0; rhs must be
-    deterministic and reentrant.
+    deterministic and free of side effects.
     """
 
     dimension: int

@@ -427,6 +427,32 @@ def test_scaled_aux_initial_values(case_i_params):
                                            rel=1e-12)
 
 
+@pytest.mark.parametrize("a, b, p, big", [
+    (30.0, 150.0, 2, 1e10), (30.0, 150.0, 4, 1e18),
+    (150.0, 250.0, 2, 1e11), (150.0, 250.0, 4, 1e20)])
+def test_scaling_bounds_the_chain_but_not_its_cancellation(a, b, p, big):
+    # at y* = 1 the time scaling t -> t/b keeps the chain's stationary
+    # values at most 1 - a/b, where in days they reach 1e10 to 4e20; but
+    # it moves that magnitude from x into alpha, so the cancellation factor
+    # kappa = sum |alpha_i x_i*| / |alpha . x*| (150 to 4.5e7 here) is the
+    # same either way, to the rounding it amplifies
+    plain = pdl.beta_polynomial(a, b, p, p)
+    scaled = pdl.rescale_to_unit(plain)
+    x_plain = pdl.stationary_aux(1.0, plain)
+    x_scaled = pdl.stationary_aux(1.0, scaled)
+    assert np.max(np.abs(x_scaled)) == pytest.approx(1.0 - a / b, rel=1e-15)
+    assert np.max(np.abs(x_plain)) >= big
+
+    def kappa(w, x):
+        terms = np.array(w.coeffs) * x
+        return np.sum(np.abs(terms)) / abs(np.sum(terms))
+
+    k = kappa(scaled, x_scaled)
+    assert k > 100.0
+    assert abs(kappa(plain, x_plain) / k - 1.0) <= \
+        64.0 * k * np.finfo(float).eps
+
+
 def test_structure_matrix_shapes():
     assert np.array_equal(pdl.structure_matrix(0), np.zeros((1, 1)))
     A2 = pdl.structure_matrix(2)
