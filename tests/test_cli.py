@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import polydelay as pdl
-from polydelay import cli, ddesolver
+from polydelay import _csvfmt, cli, ddesolver
 
 
 def test_defaults_are_case_i_values():
@@ -216,7 +216,7 @@ def test_out_flag_matches_stdout(tmp_path, capsys):
 
 
 def test_write_csv_cells_are_fmt_of_each_value(tmp_path, capsys):
-    # the cells are exactly _fmt of each value, also for signed zero,
+    # the cells are exactly fmt of each value, also for signed zero,
     # non-finite values, a subnormal and an integer column
     header = ["m", "a", "b", "c"]
     rows = [[1, -0.0, math.inf, math.nan],
@@ -240,7 +240,7 @@ def test_write_csv_cells_are_fmt_of_each_value(tmp_path, capsys):
     assert lines[0] == "m,a,b,c"
     assert lines[-1] == ""
     cells = [line.split(",") for line in lines[1:-1]]
-    assert cells == [[cli._fmt(v) for v in row] for row in rows]
+    assert cells == [[_csvfmt.fmt(v) for v in row] for row in rows]
     assert cells[0] == ["1", "-0", "inf", "nan"]
     assert cells[1][:3] == ["12", "-inf", "4.9406564584124654e-324"]
     # a tie rounds to the even digit; a value just below a power of ten
@@ -257,10 +257,10 @@ def _csv_text(header, blocks):
 
 
 def _fmt_csv(header, blocks):
-    # the definition write_csv must reproduce: _fmt of every cell
+    # the definition write_csv must reproduce: fmt of every cell
     lines = [",".join(header)]
     for block in blocks:
-        lines += [",".join(map(cli._fmt, row))
+        lines += [",".join(map(_csvfmt.fmt, row))
                   for row in np.asarray(block, dtype=float).tolist()]
     return "\n".join(lines) + "\n"
 
@@ -336,10 +336,10 @@ def test_write_csv_cells_are_fmt_of_edge_values(draws):
 
 def _decimal_agrees(values):
     # where _decimal takes a value, its 17 digits and exponent are those
-    # of '%.16e'; inside [1e-4, 1e7) it leaves to _fmt only the floats
+    # of '%.16e'; inside [1e-4, 1e7) it leaves to fmt only the floats
     # within 8 ulps of a power of ten, whose decade log10 may misjudge
     x = np.array(values, dtype=float)
-    d, i, ok = cli._decimal(x)
+    d, i, ok = _csvfmt._decimal(x)
     tens = np.array([float(Fraction(10) ** j) for j in range(-4, 8)])
     for v, digits, e, taken in zip(x.tolist(), d.tolist(), (i - 4).tolist(),
                                    ok.tolist()):
@@ -360,7 +360,7 @@ def test_decimal_digits_are_those_of_printf_on_edge_values(values):
 
 def test_decimal_takes_all_but_the_floats_next_to_powers_of_ten():
     # log-uniform over the range the arithmetic covers: a value wrongly
-    # left to _fmt still gets the right cell, so the byte tests cannot
+    # left to fmt still gets the right cell, so the byte tests cannot
     # see it
     rng = np.random.default_rng(1726)
     values = 10.0 ** rng.uniform(-4, 7, 50000)
@@ -368,7 +368,7 @@ def test_decimal_takes_all_but_the_floats_next_to_powers_of_ten():
 
 
 def _layout(x):
-    # (e, n) of _fmt(x): the decimal exponent and the significant digits
+    # (e, n) of fmt(x): the decimal exponent and the significant digits
     digits, _, e = ("%.16e" % x).partition("e")
     return int(e), len(digits.replace(".", "").rstrip("0"))
 
@@ -378,7 +378,7 @@ def test_write_csv_covers_every_layout():
     # significant digits and each sign: the first n-digit decimal
     # t 10**(e - n + 1), in a fixed sequence, whose float takes the layout
     # (e, n) of '%.17g'. The positive ones with -4 <= e <= 6 go through
-    # the arithmetic, the rest through _fmt. For n = 1 all nine are tried:
+    # the arithmetic, the rest through fmt. For n = 1 all nine are tried:
     # for e = -5, -6, -7 none is close enough to a float, so no float
     # takes those layouts
     values, unreachable = [], []
@@ -404,7 +404,7 @@ def test_write_csv_covers_every_layout():
 @pytest.mark.parametrize("variant", [{}, {"variant": "quadrature", "m": 8}])
 def test_write_csv_leaves_only_the_preset_outliers_to_fmt(variant,
                                                            monkeypatch):
-    # the cells of a preset run lie in [0, 1000]; _fmt, the slow path,
+    # the cells of a preset run lie in [0, 1000]; fmt, the slow path,
     # writes only the zeros and the early R values below 1e-4, 4 cells on
     # either route
     config = cli.assemble_config(preset="case-i", **variant)
@@ -413,8 +413,8 @@ def test_write_csv_leaves_only_the_preset_outliers_to_fmt(variant,
     cells = np.concatenate(blocks).ravel()
     assert 0.0 <= cells.min() and cells.max() <= 1000.0
     calls = []
-    fmt = cli._fmt
-    monkeypatch.setattr(cli, "_fmt", lambda v: calls.append(v) or fmt(v))
+    fmt = _csvfmt.fmt
+    monkeypatch.setattr(_csvfmt, "fmt", lambda v: calls.append(v) or fmt(v))
     cli.write_csv(header, blocks, os.devnull)
     assert sorted(calls) == sorted(cells[cells < 1e-4].tolist())
     assert len(calls) == 4
@@ -500,7 +500,8 @@ def test_write_csv_holds_one_block_of_memory():
 def test_cli_import_builds_no_formatter_table():
     # the CSV formatter keeps a few constant words at module level; any
     # larger table would be built on import, which every run pays
-    arrays = [v for v in vars(cli).values() if isinstance(v, np.ndarray)]
+    arrays = [v for module in (cli, _csvfmt) for v in vars(module).values()
+              if isinstance(v, np.ndarray)]
     assert sum(a.nbytes for a in arrays) <= 1024
 
 
@@ -541,7 +542,7 @@ def test_stationary_lines(capsys):
     weight = pdl.rescale_to_unit(pdl.beta_polynomial(30.0, 150.0, 2, 2))
     for line, i_star in ((lines[1], 0.0), (lines[3], 0.25)):
         assert line == "  aux: " + " ".join(
-            cli._fmt(v) for v in pdl.stationary_aux(i_star, weight))
+            _csvfmt.fmt(v) for v in pdl.stationary_aux(i_star, weight))
 
 
 def test_convergence_csv(capsys):
@@ -555,6 +556,14 @@ def test_convergence_csv(capsys):
     assert lines[1].split(",")[0] == "1"
     assert lines[2].split(",")[0] == "2"
     assert "reference solve" in err
+
+
+def test_convergence_order_on_case_i():
+    # README's "about m^-2.6": dS falls 2.0e-5, 3.4e-6, 5.0e-7 at m = 8,
+    # 16, 32, log2 ratios 2.56 and 2.76
+    diffs, _ = cli.run_convergence(cli.PRESETS["case-i"], [8, 16, 32])
+    orders = np.log2(diffs[:-1, 0] / diffs[1:, 0])
+    assert np.all((2.3 <= orders) & (orders <= 3.0)), orders
 
 
 def test_convergence_is_deterministic(tmp_path, capsys):

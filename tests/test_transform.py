@@ -453,6 +453,75 @@ def test_scaling_bounds_the_chain_but_not_its_cancellation(a, b, p, big):
         64.0 * k * np.finfo(float).eps
 
 
+def test_scaled_and_unscaled_routes_are_equally_accurate():
+    # 600 days, uncapped, at rtol 1e-8 with an atol of 1e-12 that acts on
+    # neither route: max |dS| against a scaled solve at rtol 1e-10 reads
+    # 2.14e-7 scaled and 2.15e-7 unscaled in case i, 2.66e-7 and 2.81e-7
+    # in case ii. At the default atol 1e-8 the two part (README)
+    opts = pdl.SolverOptions(rtol=1e-8, atol=1e-12)
+    ts = np.linspace(0.0, 600.0, 1000)
+    for a, b in ((30.0, 150.0), (150.0, 250.0)):
+        sir = pdl.sir_distributed(pdl.SirParameters(
+            sigma=0.1, theta=0.05, weight=pdl.beta_polynomial(a, b, 2, 2),
+            y0=(0.99, 0.01, 0.0)))
+        plain = pdl.build_equivalent(sir).assembled
+        scaled = pdl.build_equivalent(pdl.scale_distributed(sir)).assembled
+        ref = pdl.solve(scaled, 600.0 / b,
+                        pdl.SolverOptions(rtol=1e-10, atol=1e-13))
+        s_ref = pdl.dense_eval(ref, ts / b)[:, 0]
+        err_scaled = np.max(np.abs(pdl.dense_eval(
+            pdl.solve(scaled, 600.0 / b, opts), ts / b)[:, 0] - s_ref))
+        err_plain = np.max(np.abs(pdl.dense_eval(
+            pdl.solve(plain, 600.0, opts), ts)[:, 0] - s_ref))
+        assert 0.5 <= err_plain / err_scaled <= 2.0, (a, err_scaled,
+                                                       err_plain)
+
+
+def test_equivalent_characteristic_function_is_the_models_times_lambda5():
+    # linearised at the endemic point, the degree-4 equivalent system's
+    # characteristic matrix lambda I - J0 - sum_j JU Dj exp(-lambda tau_j)
+    # has the determinant lambda^5 det(lambda I - J(lambda)) of the
+    # model's 3x3 matrix, whose z = g^(lambda) I is the Laplace transform
+    # of the density: the chain adds n + 1 roots at 0 (relative gaps
+    # 1.2e-10 to 3.3e-9 in case i, 1.9e-9 to 3.9e-8 in case ii)
+    lams = (0.3 + 0.7j, -0.4 + 2.5j, 1.5 - 0.5j)
+    h = 1e-6
+
+    def jacobian(f, x):
+        steps = h * np.eye(len(x))
+        return np.column_stack([(f(x + e) - f(x - e)) / (2.0 * h)
+                                for e in steps])
+
+    for a, b in ((30.0, 150.0), (150.0, 250.0)):
+        weight = pdl.beta_polynomial(a, b, 2, 2)
+        params = pdl.SirParameters(sigma=0.1, theta=0.05, weight=weight,
+                                   y0=(0.99, 0.01, 0.0))
+        sigma, theta = 0.1 * b, 0.05 * b
+        base = pdl.sir_distributed(pdl.SirParameters(
+            sigma=sigma, theta=theta, weight=pdl.rescale_to_unit(weight),
+            y0=params.y0))
+        dde = pdl.build_equivalent(base).assembled
+        s, i, r = pdl.sir_equilibrium(params)[1]
+        Y = np.concatenate(([s, i, r], pdl.stationary_aux(i, base.weight)))
+        dim = len(Y)
+        # row e of Dj reads component sources[e] with weight W[e, j]
+        D = np.zeros((len(dde.delays), dim, dim))
+        D[:, np.arange(dim), dde.sources] = dde.weights.T
+        U = D.sum(axis=0) @ Y
+        J0 = jacobian(lambda y: dde.rhs(0.0, y, U[:, None]), Y)
+        JU = jacobian(lambda u: dde.rhs(0.0, Y, u[:, None]), U)
+        rule = pdl.gauss_jacobi(40, 2, 2, base.weight.a, base.weight.b)
+        for lam in lams:
+            delayed = np.tensordot(np.exp(-lam * np.array(dde.delays)), D, 1)
+            full = np.linalg.det(lam * np.eye(dim) - J0 - JU @ delayed)
+            g = np.sum(rule.weights * np.exp(-lam * rule.nodes))
+            model = np.linalg.det(lam * np.eye(3) - np.array([
+                [-sigma * i, -sigma * s + theta * g, 0.0],
+                [sigma * i, sigma * s - theta, 0.0],
+                [0.0, theta - theta * g, 0.0]]))
+            assert abs(full / (lam ** 5 * model) - 1.0) <= 1e-6, (a, lam)
+
+
 def test_structure_matrix_shapes():
     assert np.array_equal(pdl.structure_matrix(0), np.zeros((1, 1)))
     A2 = pdl.structure_matrix(2)
